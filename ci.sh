@@ -127,7 +127,7 @@ step golden-batch golden_batch
 # The mode audit is pinned byte-for-byte in both formats (query 1 exercises
 # a runtime input-boundedness violation on top of the static diagnostics, so
 # the exit code is 2 by design), and the extended Theorem-6 walk must be
-# byte-identical across job counts — the mode check rides the same sharded
+# byte-identical across job counts — the mode check rides the same parallel
 # resolvent pipeline as the consistency audit.
 modes_golden() {
   local fmt flag jobs
@@ -166,7 +166,7 @@ golden_explain() {
 step golden-explain golden_explain
 
 # Every cached Proved entry must replay through the independent witness
-# validator, serial and sharded alike — and the verdicts printed on stdout
+# validator at every job count — and the verdicts printed on stdout
 # must be byte-identical across job counts even on the ill-typed corpus
 # (exit 2 there: the corpus is rejected, but the audit itself must pass,
 # which we check by diffing stderr too — an E0301 would show up in it).
@@ -246,7 +246,7 @@ step perf-smoke target/release/report --smoke --baseline BENCH_5.json
 step closure-golden target/release/report --smoke --baseline BENCH_5.json \
   --only ground_closure
 
-# Concurrency gate: the work-stealing pool and the seqlocked proof table
+# Concurrency gate: the work-stealing pool and the shared proof table
 # must actually engage, and must never change observable output.
 #
 #   1. The contention_storm workload is smoke-gated in isolation: its

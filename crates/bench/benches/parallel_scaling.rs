@@ -1,4 +1,4 @@
-//! F7 — parallel scaling: the sharded proof table and worker pool against
+//! F7 — parallel scaling: the shared proof table and worker pool against
 //! the serial checker, swept over thread counts.
 //!
 //! Three workload shapes, mirroring the `slp` front end:
@@ -8,7 +8,7 @@
 //!   staggered, so the work-stealing pool must balance an uneven batch.
 //! * **Clause-parallel check** — one large program whose clauses are
 //!   dispatched across the pool, all workers proving through a single
-//!   shared [`ShardedProofTable`] (the single-file `--jobs N` path).
+//!   shared [`ProofTable`] (the single-file `--jobs N` path).
 //! * **Concurrent subtype batch** — alpha-variant goal batches split
 //!   across workers, where a judgement derived on one thread is a cache
 //!   hit for every other thread.
@@ -17,12 +17,12 @@
 //! (≥2× at 4 threads on ≥4 cores), flat (within noise) on a single-core
 //! host since the pool adds only scheduling overhead; verdicts and
 //! diagnostics are byte-identical at every thread count (asserted here and
-//! in `prop_shard.rs` / `cli_parallel.rs`).
+//! in `prop_table.rs` / `cli_parallel.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lp_engine::Clause;
 use lp_gen::{programs, worlds};
-use subtype_core::{par, ParallelChecker, ShardedProofTable, ShardedProver};
+use subtype_core::{par, ParallelChecker, ProofTable, TabledProver};
 
 fn bench_file_batch(c: &mut Criterion) {
     let workloads: Vec<bench::CheckWorkload> = bench::f7_corpus()
@@ -34,7 +34,7 @@ fn bench_file_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, _| {
             b.iter(|| {
                 let results = par::run_indexed(jobs, std::hint::black_box(&workloads), |_, w| {
-                    let table = ShardedProofTable::new();
+                    let table = ProofTable::new();
                     let checker =
                         ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, 1);
                     let clauses: Vec<&Clause> =
@@ -57,7 +57,7 @@ fn bench_clause_parallel(c: &mut Criterion) {
             b.iter(|| {
                 // A cold shared table per iteration: the measured time
                 // includes the misses that populate it.
-                let table = ShardedProofTable::new();
+                let table = ProofTable::new();
                 let checker =
                     ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, jobs);
                 assert!(checker
@@ -76,11 +76,11 @@ fn bench_concurrent_subtype_batch(c: &mut Criterion) {
     for &jobs in bench::F7_JOBS {
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, _| {
             b.iter(|| {
-                let table = ShardedProofTable::new();
+                let table = ProofTable::new();
                 let world = &world;
                 let verdicts =
                     par::run_indexed(jobs, std::hint::black_box(&goals), |_, (sup, sub)| {
-                        ShardedProver::new(&world.sig, &world.checked, &table)
+                        TabledProver::new(&world.sig, &world.checked, Some(&table))
                             .subtype(sup, sub)
                             .is_proved()
                     });

@@ -15,8 +15,6 @@
 //! by the per-hit canonicalization cost) and trims the audit's prover share
 //! by its hit rate; acceptance is ≥2× on the repeated-query batches.
 
-use std::cell::RefCell;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lp_gen::{programs, worlds};
 use subtype_core::consistency::{AuditConfig, Auditor};
@@ -48,8 +46,8 @@ fn bench_batch_tabled(c: &mut Criterion) {
             b.iter(|| {
                 // A cold table per iteration: the measured speedup includes
                 // the misses that populate it.
-                let table = RefCell::new(ProofTable::new());
-                let prover = TabledProver::new(&world.sig, &world.checked, &table);
+                let table = ProofTable::new();
+                let prover = TabledProver::new(&world.sig, &world.checked, Some(&table));
                 for verdict in prover.subtype_batch(std::hint::black_box(&goals)) {
                     assert!(verdict.is_proved());
                 }
@@ -82,8 +80,9 @@ fn bench_audit(c: &mut Criterion) {
     });
     group.bench_function("tabled", |b| {
         b.iter(|| {
-            let table = RefCell::new(ProofTable::new());
-            let checker = Checker::with_table(&w.module.sig, &w.checked, &w.preds, &table);
+            let table = ProofTable::new();
+            let checker =
+                Checker::new(&w.module.sig, &w.checked, &w.preds).with_proof_table(Some(&table));
             assert!(Auditor::new(checker)
                 .run(std::hint::black_box(&db), &goals, config)
                 .is_clean());

@@ -10,7 +10,6 @@
 //! behavioural drift (a tabling regression, an eviction-policy change, a
 //! checker doing more subtype work than it used to), not slow hardware.
 
-use std::cell::RefCell;
 use std::sync::Barrier;
 
 use lp_gen::{programs, worlds};
@@ -18,8 +17,7 @@ use subtype_core::consistency::{AuditConfig, Auditor};
 use subtype_core::obs::json::JsonValue;
 use subtype_core::{
     lint_module_obs, par, Checker, Counter, LintOptions, MetricsRegistry, MetricsSnapshot,
-    ModeAnalysis, ProofTable, ServeConfig, ServeSession, ShardedProofTable, ShardedProver,
-    TabledProver,
+    ModeAnalysis, ProofTable, ServeConfig, ServeSession, TabledProver,
 };
 
 /// Version tag of the document; bump on any structural change.
@@ -78,8 +76,8 @@ fn f6_alpha_batch() -> MetricsSnapshot {
     let obs = MetricsRegistry::shared();
     let mut world = worlds::paper_world();
     let goals = crate::alpha_variant_goals(&mut world, 256, crate::F6_DISTINCT);
-    let table = RefCell::new(ProofTable::with_metrics(obs.clone()));
-    let prover = TabledProver::new(&world.sig, &world.checked, &table);
+    let table = ProofTable::with_metrics(obs.clone());
+    let prover = TabledProver::new(&world.sig, &world.checked, Some(&table));
     for verdict in prover.subtype_batch(&goals) {
         assert!(verdict.is_proved());
     }
@@ -93,9 +91,10 @@ fn f6_audit_nrev() -> MetricsSnapshot {
     let w = crate::workload(&programs::nrev(8));
     let db = w.module.database();
     let goals = w.module.queries[0].goals.clone();
-    let table = RefCell::new(ProofTable::with_metrics(obs.clone()));
-    let checker =
-        Checker::with_table(&w.module.sig, &w.checked, &w.preds, &table).with_obs(Some(&obs));
+    let table = ProofTable::with_metrics(obs.clone());
+    let checker = Checker::new(&w.module.sig, &w.checked, &w.preds)
+        .with_proof_table(Some(&table))
+        .with_obs(Some(&obs));
     let report = Auditor::new(checker).run(
         &db,
         &goals,
@@ -121,8 +120,8 @@ fn table_eviction() -> MetricsSnapshot {
     let obs = MetricsRegistry::shared();
     let mut world = worlds::paper_world();
     let goals = crate::alpha_variant_goals(&mut world, 32, 16);
-    let table = RefCell::new(ProofTable::with_capacity_and_metrics(4, obs.clone()));
-    let prover = TabledProver::new(&world.sig, &world.checked, &table);
+    let table = ProofTable::with_capacity_and_metrics(4, obs.clone());
+    let prover = TabledProver::new(&world.sig, &world.checked, Some(&table));
     for verdict in prover.subtype_batch(&goals) {
         assert!(verdict.is_proved());
     }
@@ -134,9 +133,10 @@ fn table_eviction() -> MetricsSnapshot {
 fn pipeline_check() -> MetricsSnapshot {
     let obs = MetricsRegistry::shared();
     let w = crate::workload(&programs::pipeline(16, 2));
-    let table = RefCell::new(ProofTable::with_metrics(obs.clone()));
-    let checker =
-        Checker::with_table(&w.module.sig, &w.checked, &w.preds, &table).with_obs(Some(&obs));
+    let table = ProofTable::with_metrics(obs.clone());
+    let checker = Checker::new(&w.module.sig, &w.checked, &w.preds)
+        .with_proof_table(Some(&table))
+        .with_obs(Some(&obs));
     let clauses: Vec<_> = w.module.clauses.iter().map(|c| c.clause.clone()).collect();
     checker.check_program(clauses.iter()).expect("well-typed");
     obs.snapshot()
@@ -227,8 +227,8 @@ fn ground_closure() -> MetricsSnapshot {
     let lookup = |n: &str| world.sig.lookup(n).expect("paper symbol");
     let (int, nat, elist, nil) = (lookup("int"), lookup("nat"), lookup("elist"), lookup("nil"));
     let (succ, zero, list) = (lookup("succ"), lookup("0"), lookup("list"));
-    let table = RefCell::new(ProofTable::with_metrics(obs.clone()));
-    let prover = TabledProver::new(&world.sig, &world.checked, &table);
+    let table = ProofTable::with_metrics(obs.clone());
+    let prover = TabledProver::new(&world.sig, &world.checked, Some(&table));
     let c = lp_term::Term::constant;
     assert!(prover.subtype(&c(int), &c(nat)).is_proved());
     assert!(prover.subtype(&c(nat), &c(int)).is_refuted());
@@ -254,16 +254,16 @@ fn storm_cap(counter: Counter) -> u64 {
 }
 
 /// The concurrency storm: the one workload that runs the *parallel* table
-/// and pool on purpose, proving the lock-free design by counters.
+/// and pool on purpose, proving the shared table by counters.
 ///
-/// Phase 1 seeds 8 hot judgements into a [`ShardedProofTable`] serially.
+/// Phase 1 seeds 8 hot judgements into one [`ProofTable`] serially.
 /// Phase 2 runs four single-item chunks through a four-worker
 /// work-stealing pool; a `Barrier(4)` inside each item means the batch
 /// can only complete once four *distinct* workers each hold one chunk,
 /// and since every chunk is seeded onto worker 0's deque that forces
 /// **exactly 3 steals** on any machine — a silent fallback to serial
 /// dispatch (steals = 0) or to a fixed partition (no stealing) fails the
-/// smoke gate. Each worker then hammers the 8 hot keys (128 lock-free
+/// smoke gate. Each worker then hammers the 8 hot keys (128 shared
 /// hits in total) and publishes one private verdict (4 misses/inserts).
 /// Phase 3 rescopes every entry into a fresh generation (12 reused).
 ///
@@ -280,10 +280,10 @@ fn contention_storm() -> MetricsSnapshot {
     let mut world = worlds::paper_world();
     let goals = crate::alpha_variant_goals(&mut world, HOT + WORKERS, HOT + WORKERS);
     let (hot, solo) = goals.split_at(HOT);
-    let table = ShardedProofTable::with_config_and_metrics(16, 256, obs.clone());
+    let table = ProofTable::with_capacity_and_metrics(256, obs.clone());
 
     // Phase 1: serial seed — 8 deterministic misses/inserts.
-    let prover = ShardedProver::new(&world.sig, &world.checked, &table);
+    let prover = TabledProver::new(&world.sig, &world.checked, Some(&table));
     for (sup, sub) in hot {
         assert!(prover.subtype(sup, sub).is_proved());
     }
@@ -294,7 +294,7 @@ fn contention_storm() -> MetricsSnapshot {
     let items: Vec<usize> = (0..WORKERS).collect();
     par::run_indexed_chunked_obs(WORKERS, 1, &items, Some(&obs), |_, &worker| {
         barrier.wait();
-        let p = ShardedProver::new(&world.sig, &world.checked, &table);
+        let p = TabledProver::new(&world.sig, &world.checked, Some(&table));
         for _ in 0..ROUNDS {
             for (sup, sub) in hot {
                 assert!(p.subtype(sup, sub).is_proved());

@@ -13,7 +13,6 @@
 //!   exact match); exits 1 with a per-counter diff on drift. Wall time is
 //!   never compared, so the gate is load-independent.
 
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use lp_baseline::{FuncSigTable, Mo84Checker};
@@ -366,12 +365,12 @@ fn f6() {
         });
         let mut hit_rate = 0.0;
         let tabled = time_n(10, || {
-            let table = RefCell::new(ProofTable::new());
-            let tp = TabledProver::new(&world.sig, &world.checked, &table);
+            let table = ProofTable::new();
+            let tp = TabledProver::new(&world.sig, &world.checked, Some(&table));
             for verdict in tp.subtype_batch(&goals) {
                 assert!(verdict.is_proved());
             }
-            hit_rate = table.borrow().stats().hit_rate();
+            hit_rate = table.stats().hit_rate();
         });
         let speedup = untabled.as_secs_f64() / tabled.as_secs_f64().max(1e-12);
         println!(
@@ -406,11 +405,12 @@ fn f6() {
         });
         let mut hit_rate = 0.0;
         let tabled = time_n(10, || {
-            let table = RefCell::new(ProofTable::new());
-            let checker = Checker::with_table(&w.module.sig, &w.checked, &w.preds, &table);
+            let table = ProofTable::new();
+            let checker =
+                Checker::new(&w.module.sig, &w.checked, &w.preds).with_proof_table(Some(&table));
             let report = Auditor::new(checker).run(&db, &goals, config);
             assert!(report.is_clean());
-            hit_rate = table.borrow().stats().hit_rate();
+            hit_rate = table.stats().hit_rate();
         });
         let speedup = untabled.as_secs_f64() / tabled.as_secs_f64().max(1e-12);
         println!(
@@ -421,15 +421,15 @@ fn f6() {
     println!();
 }
 
-/// F7: parallel scaling of the batch pipeline over the sharded table.
+/// F7: parallel scaling of the batch pipeline over one shared proof table.
 fn f7() {
     use lp_engine::Clause;
-    use subtype_core::{par, ParallelChecker, ShardedProofTable, ShardedProver};
+    use subtype_core::{par, ParallelChecker};
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("## F7 — parallel scaling (sharded proof table, worker pool)\n");
+    println!("## F7 — parallel scaling (shared proof table, worker pool)\n");
     println!("host: {cores} core(s) available — speedup is bounded by this\n");
 
     // (a) File-level batch: the `slp check f1 f2 … --jobs N` shape. Each
@@ -449,7 +449,7 @@ fn f7() {
     for &jobs in bench::F7_JOBS {
         let wall = time_n(5, || {
             let oks = par::run_indexed(jobs, &workloads, |_, w| {
-                let table = ShardedProofTable::new();
+                let table = ProofTable::new();
                 let checker =
                     ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, 1);
                 let clauses: Vec<&Clause> = w.module.clauses.iter().map(|c| &c.clause).collect();
@@ -465,17 +465,17 @@ fn f7() {
     }
 
     // (b) Clause-level parallel check of one large program, all workers
-    // sharing one sharded table (the single-file `--jobs N` shape).
+    // sharing one table (the single-file `--jobs N` shape).
     let w = bench::workload(&programs::pipeline(64, 3));
     let clauses: Vec<&Clause> = w.module.clauses.iter().map(|c| &c.clause).collect();
-    println!("\nclause-parallel check (pipeline(64, 3), shared sharded table):\n");
+    println!("\nclause-parallel check (pipeline(64, 3), shared table):\n");
     println!("jobs | wall     | speedup | hit rate");
     println!("-----|----------|---------|---------");
     let mut base = Duration::ZERO;
     for &jobs in bench::F7_JOBS {
         let mut hit_rate = 0.0;
         let wall = time_n(5, || {
-            let table = ShardedProofTable::new();
+            let table = ProofTable::new();
             let checker =
                 ParallelChecker::with_table(&w.module.sig, &w.checked, &w.preds, &table, jobs);
             assert!(checker.check_program(&clauses).is_ok());
@@ -506,10 +506,10 @@ fn f7() {
     for &jobs in bench::F7_JOBS {
         let mut hit_rate = 0.0;
         let wall = time_n(5, || {
-            let table = ShardedProofTable::new();
+            let table = ProofTable::new();
             let world = &world;
             let oks = par::run_indexed(jobs, &goals, |_, (sup, sub)| {
-                ShardedProver::new(&world.sig, &world.checked, &table)
+                TabledProver::new(&world.sig, &world.checked, Some(&table))
                     .subtype(sup, sub)
                     .is_proved()
             });

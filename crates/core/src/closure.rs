@@ -36,7 +36,8 @@
 //! (`list(int)` is *not* a node unless some nullary type expands to it), or
 //! an oversized graph (see [`GroundClosure::is_disabled`]) falls back to the
 //! tabled prover. A differential proptest (`tests/prop_closure.rs`) pins
-//! `decide` ≡ untabled prover ≡ tabled ≡ sharded at exact-`Proof` equality.
+//! `decide` ≡ untabled prover ≡ tabled (serial and shared by threads) at
+//! exact-`Proof` equality.
 //!
 //! # Invalidation contract (serve deltas)
 //!

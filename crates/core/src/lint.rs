@@ -29,7 +29,6 @@
 //! `BTreeMap`), and the final report is [`diag::sort`]ed; two runs over the
 //! same module produce byte-identical output, tabled or not.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -746,7 +745,7 @@ fn match_head(
     module: &Module,
     checked: &CheckedConstraints,
     preds: &PredTypeTable,
-    table: Option<&RefCell<ProofTable>>,
+    table: Option<&ProofTable>,
     obs: Option<&MetricsRegistry>,
     atom: &Term,
     rigid: bool,
@@ -759,11 +758,9 @@ fn match_head(
         watermark = watermark.max(v.0 + 1);
     }
     let mut state = CState::new(watermark);
-    let cm = match table {
-        Some(t) => CMatcher::with_table(sig, checked, t),
-        None => CMatcher::new(sig, checked),
-    }
-    .with_obs(obs);
+    let cm = CMatcher::new(sig, checked)
+        .with_proof_table(table)
+        .with_obs(obs);
     let mut map: HashMap<Var, Var> = HashMap::new();
     let renamed = declared.map_vars(&mut |v| {
         Term::Var(*map.entry(v).or_insert_with(|| {
@@ -795,16 +792,14 @@ fn program_passes(
     let reg = obs.map(Arc::as_ref);
     // The internal table reports into the caller's registry (when given),
     // so lint cache traffic shows up in the CLI-wide `--stats` document.
-    let table = RefCell::new(match obs {
+    let table = match obs {
         Some(o) => ProofTable::with_metrics(o.clone()),
         None => ProofTable::new(),
-    });
+    };
     let table_ref = options.tabling.then_some(&table);
-    let checker = match table_ref {
-        Some(t) => Checker::with_table(sig, checked, preds, t),
-        None => Checker::new(sig, checked, preds),
-    }
-    .with_obs(reg);
+    let checker = Checker::new(sig, checked, preds)
+        .with_proof_table(table_ref)
+        .with_obs(reg);
 
     for (idx, lc) in module.clauses.iter().enumerate() {
         let head = &lc.clause.head;

@@ -2,8 +2,7 @@
 //! structured trace sink for the whole prover pipeline.
 //!
 //! Every layer of the workspace — the proof table ([`crate::table`]), the
-//! seqlocked concurrent store ([`crate::shard`]), the constraint matcher
-//! ([`crate::cmatch`]), the clause/query checkers ([`crate::welltyped`]),
+//! constraint matcher ([`crate::cmatch`]), the clause/query checkers ([`crate::welltyped`]),
 //! the lint driver ([`crate::lint`]), the worker pool ([`crate::par`]) and
 //! the CLI — reports into one [`MetricsRegistry`]. The registry is a fixed
 //! array of relaxed `AtomicU64`s plus per-phase monotonic timers, cheap
@@ -15,10 +14,9 @@
 //!
 //! Three consumers sit on top:
 //!
-//! * **Stats structs as views.** [`crate::table::TableStats`] (and the
-//!   sharded merge that used to lock every shard) are now read-only
-//!   snapshots of registry counters — one accounting path, no ad-hoc
-//!   merging.
+//! * **Stats structs as views.** [`crate::table::TableStats`] is a
+//!   read-only snapshot of registry counters — one accounting path, no
+//!   ad-hoc merging.
 //! * **`--stats`.** [`MetricsSnapshot`] renders a byte-stable JSON document
 //!   (schema `slp-metrics/1`, fixed field order) or a human table; the CLI
 //!   prints it on **stderr** so result output on stdout is untouched.
@@ -54,8 +52,8 @@ pub enum Counter {
     TableEvictions,
     /// Wholesale invalidations on generation mismatch.
     TableInvalidations,
-    /// Bucket writer stamps found busy on acquire (a concurrent writer
-    /// held the seqlock, so the insert was skipped or the probe moved on).
+    /// Proof-table inserts that found the table's lock held by another
+    /// thread and waited for it (the insert is never skipped).
     ShardContention,
     /// Subtype proof obligations submitted to a prover (tabled or not).
     SubtypeGoals,
@@ -129,9 +127,8 @@ pub enum Counter {
     /// Terms flat-encoded into canonical proof-table key codes (two per
     /// subtype goal that reaches the table layer).
     ArenaTerms,
-    /// Seqlock read attempts the lock-free table discarded and retried
-    /// because a concurrent writer moved the bucket's sequence stamp (or
-    /// held it odd) mid-copy. Zero on every serial run by construction.
+    /// Proof-table lookups that found the table's lock held by another
+    /// thread and waited for it. Zero on every serial run by construction.
     TableReadRetries,
     /// Work chunks a pool worker claimed from *another* worker's deque.
     /// Zero when the pool runs inline (`--jobs 1`) — a parallel batch with
@@ -246,9 +243,9 @@ impl Counter {
     /// `IncrementalReuse`, which counts survivors of a rescope. The serve
     /// request counters *are* invariant: faults are keyed off request
     /// sequence numbers (see [`FaultPlan`]), not clocks or thread timing.
-    /// The concurrency counters added with the lock-free table —
-    /// seqlock read retries, deque steals, and failed steal attempts —
-    /// are scheduling luck by definition and excluded too.
+    /// The concurrency counters — lookups that waited for the table's
+    /// lock, deque steals, and failed steal attempts — are scheduling luck
+    /// by definition and excluded too.
     pub fn scheduling_invariant(self) -> bool {
         !matches!(
             self,
@@ -382,16 +379,18 @@ pub enum TraceEvent<'a> {
         /// The new generation stamp.
         generation: u64,
     },
-    /// A bucket's writer stamp was busy on first try.
+    /// An insert found the proof table's lock busy on first try.
     ShardContention {
-        /// Index of the contended bucket.
+        /// Always 0: there is one table lock (the field keeps the trace
+        /// schema stable).
         shard: usize,
     },
-    /// A poison-flagged store was recovered: it was wiped and the flag
-    /// reset, so later requests rebuild the cache instead of erroring
-    /// forever.
+    /// A proof table whose lock a panic had poisoned was recovered: it
+    /// was wiped and unpoisoned, so later requests rebuild the cache
+    /// instead of erroring forever.
     ShardPoisonRecovered {
-        /// Index of the recovered shard.
+        /// Always 0: there is one table lock (the field keeps the trace
+        /// schema stable).
         shard: usize,
     },
     /// A serve session accepted a request.

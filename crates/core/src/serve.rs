@@ -2,7 +2,7 @@
 //!
 //! A [`ServeSession`] answers JSON-lines requests (one JSON object per
 //! line in, exactly one JSON object per line out) while holding the
-//! parsed module and a warm [`ShardedProofTable`] across requests, so a
+//! parsed module and a warm [`ProofTable`] across requests, so a
 //! stream of LSP/CI-style re-checks does not pay parse + table warmup
 //! per request. The CLI verb (`slp serve --stdio|--socket PATH`) is a
 //! thin transport around this in-process type, which is what the tests
@@ -30,9 +30,9 @@
 //! contained at the request boundary), `deadline` / `budget` (the
 //! request ran out of time / resource budget; verdicts degrade to
 //! `"unknown"` rather than guessing). A session survives all of them:
-//! no request can exit the process or wedge a shard (a poisoned shard
-//! lock is recovered on next access, see
-//! [`ShardedProofTable`]'s poison recovery).
+//! no request can exit the process or wedge the table (a table lock
+//! poisoned by a panic is recovered on next access, see
+//! [`ProofTable`]'s module docs).
 //!
 //! # Incremental re-checking
 //!
@@ -57,10 +57,11 @@
 //! degrades the *whole* response, never a scheduling-dependent subset of
 //! clauses). Faults come from an [`obs::FaultPlan`](FaultPlan) keyed off
 //! request sequence numbers — never clocks — so a faulted session
-//! replays identically anywhere; an injected `panic` also poisons a live
-//! shard first, so recovery is exercised end to end.
+//! replays identically anywhere; an injected `panic` is raised while
+//! holding the warm table's lock, so poison recovery is exercised end to
+//! end.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,13 +74,18 @@ use crate::budget::Budget;
 use crate::constraint::{CheckedConstraints, ConstraintSet, SubtypeConstraint};
 use crate::obs::json::JsonValue;
 use crate::obs::{Counter, Fault, FaultPlan, MetricsRegistry, TraceEvent};
-use crate::shard::ShardedProofTable;
+use crate::table::ProofTable;
 use crate::welltyped::{ParallelChecker, PredTypeTable};
 
 /// Number of clauses checked between two deadline checks. Fixed (never
 /// derived from `jobs`) so chunking cannot make responses
 /// scheduling-dependent.
 const DEADLINE_CHUNK: usize = 8;
+
+/// The longest request line [`ServeSession::run`] reads (64 MiB). A longer
+/// line is answered with an `error` response, and its bytes past the cap
+/// are skipped without being buffered.
+pub const MAX_REQUEST_BYTES: usize = 64 << 20;
 
 /// Knobs for a [`ServeSession`].
 #[derive(Debug, Clone)]
@@ -126,7 +132,7 @@ struct LoadedProgram {
 pub struct ServeSession {
     config: ServeConfig,
     obs: Arc<MetricsRegistry>,
-    table: ShardedProofTable,
+    table: ProofTable,
     program: Option<LoadedProgram>,
     /// Sequence number of the last accepted request (so the next is
     /// `seq + 1`); fault plans key off this.
@@ -144,7 +150,7 @@ impl ServeSession {
     /// CLI passes its per-invocation registry so `--stats`/`--trace`
     /// cover the whole session).
     pub fn with_metrics(config: ServeConfig, obs: Arc<MetricsRegistry>) -> Self {
-        let table = ShardedProofTable::with_metrics(obs.clone());
+        let table = ProofTable::with_metrics(obs.clone());
         ServeSession {
             config,
             obs,
@@ -169,9 +175,16 @@ impl ServeSession {
     /// trailing newline). Never panics: request processing runs under
     /// `catch_unwind`, and a contained panic becomes a `panic` response.
     pub fn handle_line(&mut self, line: &str) -> String {
+        self.answer(Ok(line))
+    }
+
+    /// Answers one request read off the transport: its line, or why it
+    /// could not be read as one (which is answered as a malformed request).
+    fn answer(&mut self, request: Result<&str, String>) -> String {
         self.seq += 1;
         let seq = self.seq;
-        let parsed = JsonValue::parse(line.trim());
+        let parsed =
+            request.and_then(|line| JsonValue::parse(line.trim()).map_err(|e| e.to_string()));
         let (id, op) = match &parsed {
             Ok(req) => (
                 req.get("id").cloned(),
@@ -213,19 +226,27 @@ impl ServeSession {
     }
 
     /// Runs the synchronous request loop: one response line per request
-    /// line, flushed after each, until EOF or a `shutdown` request.
+    /// line, flushed after each, until EOF or a `shutdown` request. A line
+    /// that is not UTF-8 or is longer than [`MAX_REQUEST_BYTES`] is
+    /// answered in-band as a malformed request, and the loop goes on.
     ///
     /// # Errors
     ///
     /// Propagates transport I/O errors only — request-level failures are
     /// answered in-band.
-    pub fn run<R: BufRead, W: Write>(&mut self, input: R, mut out: W) -> std::io::Result<()> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = self.handle_line(&line);
+    pub fn run<R: BufRead, W: Write>(&mut self, mut input: R, mut out: W) -> io::Result<()> {
+        let mut line = Vec::new();
+        while let Some(fits) = read_request(&mut input, &mut line)? {
+            let request = if !fits {
+                Err(format!("longer than {MAX_REQUEST_BYTES} bytes"))
+            } else {
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => Ok(text),
+                    Err(e) => Err(format!("not valid UTF-8: {e}")),
+                }
+            };
+            let response = self.answer(request);
             out.write_all(response.as_bytes())?;
             out.write_all(b"\n")?;
             out.flush()?;
@@ -237,8 +258,8 @@ impl ServeSession {
     }
 
     /// Routes one well-formed request. Runs under `catch_unwind` so a
-    /// panic in parsing or checking poisons no more than a shard — which
-    /// the table recovers on its next access.
+    /// panic in parsing or checking poisons no more than the table's lock —
+    /// which the table recovers on its next access.
     fn dispatch(
         &mut self,
         req: &JsonValue,
@@ -249,12 +270,12 @@ impl ServeSession {
     ) -> JsonValue {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(Fault::Panic) = fault {
-                // Poison-flag the live store before unwinding, so the
+                // Panic while holding the live table's lock, so the
                 // injected panic exercises the worst case: a panic that
-                // leaves the table flagged must neither kill the daemon
-                // nor wedge the table for later requests.
-                self.table.poison_shard_for_fault_injection(0);
-                panic!("injected fault: panic at request {seq}");
+                // poisons the table must neither kill the daemon nor wedge
+                // the table for later requests.
+                self.table
+                    .panic_holding_lock(&format!("injected fault: panic at request {seq}"));
             }
             match op {
                 "load" => self.op_load(req, id, seq, false),
@@ -347,7 +368,7 @@ impl ServeSession {
             )
         } else {
             // Wholesale replacement: the fresh generation stamp clears
-            // each shard lazily on its next access.
+            // the table lazily on its next access.
             0
         };
         let mut fields = vec![
@@ -604,6 +625,42 @@ impl ServeSession {
     }
 }
 
+/// Reads one request line into `line`, without its `\n` (or `\r\n`).
+/// Returns `None` at end of input, else whether the line fits in
+/// [`MAX_REQUEST_BYTES`]; the bytes of a line that does not are consumed
+/// through its newline but not kept.
+fn read_request<R: BufRead>(input: &mut R, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let mut started = false;
+    let mut fits = true;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(started.then_some(fits));
+        }
+        started = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let end = newline.unwrap_or(chunk.len());
+        if fits && line.len() + end <= MAX_REQUEST_BYTES {
+            line.extend_from_slice(&chunk[..end]);
+        } else if fits {
+            fits = false;
+            *line = Vec::new();
+        }
+        input.consume(end + usize::from(newline.is_some()));
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return Ok(Some(fits));
+        }
+    }
+}
+
 /// Whether `old`'s symbol numbering is a prefix of `new`'s: every `Sym`
 /// minted under `old` denotes the same (name, kind, arity) under `new`,
 /// so terms cached before the delta keep their meaning after it.
@@ -667,6 +724,8 @@ fn base(id: &Option<JsonValue>, seq: u64, status: &str) -> Vec<(String, JsonValu
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read as _;
+
     use super::*;
 
     const GOOD: &str = "FUNC 0, succ. TYPE nat. nat >= 0 + succ(nat). \
@@ -811,7 +870,7 @@ mod tests {
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("panic"));
         assert!(r.get("retry_after").is_some());
         assert_eq!(s.metrics().get(Counter::RequestsPanicked), 1);
-        // The retry (new seq, no fault) succeeds despite the poisoned shard.
+        // The retry (new seq, no fault) succeeds despite the poisoned table.
         let retry = parse(&s.handle_line(&req(r#"{"op":"check"}"#)));
         assert_eq!(retry.get("status").and_then(|v| v.as_str()), Some("ok"));
         assert_eq!(retry.get("errors").and_then(|v| v.as_u64()), Some(0));
@@ -909,6 +968,43 @@ mod tests {
         assert_eq!(status(lines[0]), "ok");
         assert_eq!(status(lines[1]), "ok");
         assert_eq!(status(lines[2]), "ok");
+    }
+
+    /// Runs `input` through a fresh session's request loop, returning the
+    /// response lines.
+    fn run_lines(input: impl BufRead) -> Vec<String> {
+        let mut out = Vec::new();
+        session(ServeConfig::default())
+            .run(input, &mut out)
+            .expect("in-memory transport");
+        String::from_utf8(out)
+            .expect("responses are UTF-8")
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn non_utf8_request_is_answered_in_band_and_serving_goes_on() {
+        let lines = run_lines(&b"{\"op\":\"stats\"}\n\xff\n{\"op\":\"stats\"}\n"[..]);
+        assert_eq!(lines.len(), 3, "one response per request: {lines:?}");
+        assert_eq!(status(&lines[0]), "ok");
+        assert_eq!(status(&lines[1]), "error");
+        assert!(lines[1].contains("not valid UTF-8"), "{}", lines[1]);
+        let third = parse(&lines[2]);
+        assert_eq!(third.get("status").and_then(|v| v.as_str()), Some("ok"));
+        assert_eq!(third.get("seq").and_then(|v| v.as_u64()), Some(3));
+    }
+
+    #[test]
+    fn oversize_request_is_answered_in_band_and_serving_goes_on() {
+        let oversize = io::repeat(b'x').take(MAX_REQUEST_BYTES as u64 + 1);
+        let input = io::BufReader::new(oversize.chain(&b"\n{\"op\":\"stats\"}\n"[..]));
+        let lines = run_lines(input);
+        assert_eq!(lines.len(), 2, "one response per request");
+        assert_eq!(status(&lines[0]), "error");
+        assert!(lines[0].contains("longer than"), "{}", lines[0]);
+        assert_eq!(status(&lines[1]), "ok");
     }
 
     #[test]

@@ -38,13 +38,14 @@
 //! A verdict is only meaningful relative to the constraint theory `H_C` it
 //! was derived under. Every [`ConstraintSet`](crate::ConstraintSet) carries a
 //! process-unique generation stamp refreshed on each mutation (see
-//! [`crate::constraint::next_generation`]); the table remembers the stamp its
-//! entries were derived under and wholesale-clears itself whenever it is used
-//! with a differently-stamped theory. Stamps are unique across sets, so a
-//! table can be shared (sequentially) between worlds without ever serving a
-//! stale verdict. The *signature* is assumed fixed once proving starts —
-//! declaring new symbols mid-stream without touching the constraint set is
-//! not detected (and nothing in this crate does so).
+//! [`crate::constraint::next_generation`]); every lookup and insert names
+//! the stamp of the theory it speaks for, and the table wholesale-clears
+//! itself whenever that differs from the stamp its entries were derived
+//! under. Stamps are unique across sets, so a table can be shared between
+//! worlds without ever serving a stale verdict. The *signature* is assumed
+//! fixed once proving starts — declaring new symbols mid-stream without
+//! touching the constraint set is not detected (and nothing in this crate
+//! does so).
 //!
 //! # Bounded size
 //!
@@ -52,19 +53,39 @@
 //! that evicts the oldest entry (FIFO). Hit/miss/insert/evict counts are
 //! available via [`ProofTable::stats`].
 //!
+//! # Sharing across threads
+//!
+//! There is one table type for serial and parallel callers alike. Its
+//! entries sit behind one internal `Mutex` and its API takes `&self`, so
+//! the checker, the matcher, the auditor, the clause-parallel workers of
+//! [`crate::ParallelChecker`] and `slp serve` all share one store. The lock
+//! is held for a single map operation, never across a derivation: two
+//! workers missing on the same key both derive it, and the second insert
+//! updates the entry in place with an equal verdict (the prover is
+//! deterministic in canonical space). A lookup or insert that finds the
+//! lock taken counts [`Counter::TableReadRetries`] or
+//! [`Counter::ShardContention`] and then waits for it — nothing is ever
+//! skipped, so the deterministic counters do not depend on scheduling.
+//! A panic while the lock is held poisons it; the next access wipes the
+//! entries (always sound for a cache), counts one
+//! [`Counter::TableInvalidations`] and traces `shard.poison_recovered`.
+//!
+//! [`TabledProver`] is the one front end: over `Some(&table)` it memoizes,
+//! over `None` it derives every judgement live. Either way the ground
+//! closure tier and all accounting run through the same code.
+//!
 //! # Accounting
 //!
-//! Since PR 5 the counters live in a shared [`MetricsRegistry`]
-//! (see [`crate::obs`]): every table is constructed over a registry (its own
-//! by default, a caller-supplied `Arc` for CLI-wide aggregation), and
-//! [`ProofTable::stats`] is a *view* over the registry's counters rather
-//! than a separately maintained struct. When tracing is enabled the table
-//! also emits `table.hit` / `table.miss` / `table.evict` /
+//! The counters live in a shared [`MetricsRegistry`] (see [`crate::obs`]):
+//! every table is constructed over a registry (its own by default, a
+//! caller-supplied `Arc` for CLI-wide aggregation), and
+//! [`ProofTable::stats`] is a lock-free *view* over the registry's counters
+//! rather than a separately maintained struct. When tracing is enabled the
+//! table also emits `table.hit` / `table.miss` / `table.evict` /
 //! `table.invalidate` span events keyed by the canonical fingerprint.
 
-use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
 use lp_term::{Signature, Subst, Term, Var, VarGen};
@@ -96,25 +117,6 @@ pub(crate) struct TableKey {
 }
 
 impl TableKey {
-    /// Reassembles a key from its flat parts — the inverse of
-    /// [`TableKey::code`]/[`TableKey::rigid`], used when the lock-free
-    /// sharded table decodes an entry back out of its atomic bucket words.
-    pub(crate) fn from_parts(code: Vec<u32>, rigid: Vec<Var>) -> TableKey {
-        TableKey { code, rigid }
-    }
-
-    /// The canonical flat code stream (word-level view for the lock-free
-    /// table's bucket encoding).
-    pub(crate) fn code(&self) -> &[u32] {
-        &self.code
-    }
-
-    /// The sorted canonical rigid variables (word-level view for the
-    /// lock-free table's bucket encoding).
-    pub(crate) fn rigid(&self) -> &[Var] {
-        &self.rigid
-    }
-
     /// A compact, human-scannable rendering for trace logs: symbols print
     /// as `s<index>` (the signature is not in scope here), canonical
     /// variables as `_<n>`, goals as `sup>=sub` joined with `&`, followed
@@ -183,11 +185,9 @@ pub(crate) enum CachedVerdict {
 
 /// Hit/miss/insert/evict counters for a [`ProofTable`].
 ///
-/// Since PR 5 this is a read-only *view*: the live tallies are atomic
-/// counters in the table's [`MetricsRegistry`], and [`ProofTable::stats`]
-/// snapshots them into this struct. Tables sharing one registry (e.g. the
-/// shards of a [`crate::ShardedProofTable`]) therefore report one merged
-/// set of numbers with no per-read locking or merging.
+/// A read-only *view*: the live tallies are atomic counters in the table's
+/// [`MetricsRegistry`], and [`ProofTable::stats`] snapshots them into this
+/// struct, so reading it takes no lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Lookups answered from the table.
@@ -215,37 +215,53 @@ impl TableStats {
     }
 }
 
-/// A bounded memo table of subtype verdicts, invalidated by constraint-set
-/// generation. See the module docs for the caching contract.
-///
-/// The table itself is passive storage; [`TabledProver`] drives it. Share one
-/// table per world (e.g. behind a [`RefCell`]) across the checker, the
-/// matcher and the auditor to maximize reuse.
-#[derive(Debug)]
-pub struct ProofTable {
-    entries: HashMap<TableKey, CachedVerdict>,
-    /// Insertion order of the keys in `entries`, oldest first (FIFO).
+/// The entries of a [`ProofTable`], guarded by its lock.
+#[derive(Debug, Clone, Default)]
+struct Entries {
+    map: HashMap<TableKey, CachedVerdict>,
+    /// Insertion order of the keys in `map`, oldest first (FIFO).
     order: VecDeque<TableKey>,
-    capacity: usize,
     /// Generation stamp the current entries were derived under; 0 = unset.
     generation: u64,
+}
+
+impl Entries {
+    fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
+}
+
+/// A bounded memo table of subtype verdicts, invalidated by constraint-set
+/// generation and shareable across threads. See the module docs for the
+/// caching and locking contract.
+///
+/// The table itself is passive storage; [`TabledProver`] drives it. Share
+/// one table per world across the checker, the matcher, the auditor and
+/// any parallel workers to maximize reuse.
+#[derive(Debug)]
+pub struct ProofTable {
+    entries: Mutex<Entries>,
+    capacity: usize,
     /// Shared metrics registry the table reports into.
     obs: Arc<MetricsRegistry>,
 }
 
+/// The name of the concurrent table when it was a separate, lock-free
+/// store. The two are now one type; the alias keeps code written against
+/// the old name compiling.
+pub type ShardedProofTable = ProofTable;
+
 impl Clone for ProofTable {
     /// Clones the cached entries and the *values* of the counters: the
     /// clone gets its own fresh registry seeded from a snapshot, so the two
-    /// tables account independently from the moment of the clone (the
-    /// semantics the old by-value `stats` field had).
+    /// tables account independently from the moment of the clone.
     fn clone(&self) -> Self {
         let obs = MetricsRegistry::shared();
         obs.seed(&self.obs.snapshot());
         ProofTable {
-            entries: self.entries.clone(),
-            order: self.order.clone(),
+            entries: Mutex::new(Entries::clone(&self.lock(None))),
             capacity: self.capacity,
-            generation: self.generation,
             obs,
         }
     }
@@ -290,10 +306,8 @@ impl ProofTable {
             "a proof table needs room for at least one entry"
         );
         ProofTable {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
+            entries: Mutex::new(Entries::default()),
             capacity,
-            generation: 0,
             obs,
         }
     }
@@ -310,22 +324,24 @@ impl ProofTable {
 
     /// Number of cached verdicts.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lock(None).map.len()
     }
 
     /// Whether the table holds no verdicts.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The generation stamp the current entries were derived under (0 until
     /// the first use).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.lock(None).generation
     }
 
     /// The lifetime counters (never reset by clears or invalidations) — a
-    /// lock-free view over the table's [`MetricsRegistry`].
+    /// lock-free view over the table's [`MetricsRegistry`]. Concurrent
+    /// workers may land between the individual counter loads; once they
+    /// have joined it is exact.
     pub fn stats(&self) -> TableStats {
         TableStats {
             hits: self.obs.get(Counter::TableHits),
@@ -337,22 +353,66 @@ impl ProofTable {
     }
 
     /// Drops all entries, keeping the counters.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+    pub fn clear(&self) {
+        self.lock(None).clear();
     }
 
     /// Aligns the table with the theory stamped `generation`, clearing every
     /// entry if it was populated under a different one.
-    pub fn ensure_generation(&mut self, generation: u64) {
-        if self.generation != generation {
-            if !self.entries.is_empty() {
+    pub fn ensure_generation(&self, generation: u64) {
+        self.align(&mut self.lock(None), generation);
+    }
+
+    /// Takes the table's lock. When another thread holds it, `busy` (if
+    /// any) is counted before waiting. A lock poisoned by a panic is
+    /// recovered here: the entries are wiped, which is always sound for a
+    /// cache, and the recovery is counted and traced.
+    fn lock(&self, busy: Option<Counter>) -> MutexGuard<'_, Entries> {
+        let acquired = match self.entries.try_lock() {
+            Ok(entries) => Ok(entries),
+            Err(TryLockError::Poisoned(poisoned)) => Err(poisoned),
+            Err(TryLockError::WouldBlock) => {
+                if let Some(counter) = busy {
+                    self.obs.incr(counter);
+                    if counter == Counter::ShardContention {
+                        self.obs.trace(&TraceEvent::ShardContention { shard: 0 });
+                    }
+                }
+                self.entries.lock()
+            }
+        };
+        acquired.unwrap_or_else(|poisoned| {
+            let mut entries = poisoned.into_inner();
+            self.entries.clear_poison();
+            entries.clear();
+            self.obs.incr(Counter::TableInvalidations);
+            self.obs
+                .trace(&TraceEvent::ShardPoisonRecovered { shard: 0 });
+            entries
+        })
+    }
+
+    /// Clears `entries` if they were derived under another generation
+    /// (counting the invalidation when anything was dropped) and stamps
+    /// them with `generation`.
+    fn align(&self, entries: &mut Entries, generation: u64) {
+        if entries.generation != generation {
+            if !entries.map.is_empty() {
                 self.obs.incr(Counter::TableInvalidations);
                 self.obs.trace(&TraceEvent::TableInvalidate { generation });
             }
-            self.clear();
-            self.generation = generation;
+            entries.clear();
+            entries.generation = generation;
         }
+    }
+
+    /// Fault-injection hook for `slp serve`: panics with `message` while
+    /// holding the table's lock, so the injected fault really poisons it
+    /// and the next access has to recover. An already-poisoned lock is
+    /// taken as it is, so back-to-back faults leave one pending recovery.
+    pub(crate) fn panic_holding_lock(&self, message: &str) -> ! {
+        let _held = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        panic!("{message}");
     }
 
     /// Moves the table to a new constraint-theory `generation`, keeping
@@ -374,9 +434,8 @@ impl ProofTable {
     ///   changed constraint could create one, so refutations only survive
     ///   a no-op change.
     ///
-    /// Precondition (checked by the caller, e.g.
-    /// [`ShardedProofTable::rescope`](crate::ShardedProofTable::rescope)
-    /// users): the old signature's symbol numbering must be a prefix of
+    /// Precondition (checked by the caller, e.g. `slp serve`'s delta
+    /// handling): the old signature's symbol numbering must be a prefix of
     /// the new one, so the `Sym`s baked into cached keys and answers keep
     /// denoting the same symbols. When that fails, fall back to
     /// [`ProofTable::ensure_generation`].
@@ -385,18 +444,23 @@ impl ProofTable {
     /// [`Counter::IncrementalReuse`]. A same-generation call is a no-op
     /// returning 0 (nothing was at risk, nothing was "reused").
     pub fn rescope(
-        &mut self,
+        &self,
         generation: u64,
         constraint_unchanged: &dyn Fn(usize) -> bool,
         keep_refuted: bool,
     ) -> u64 {
-        if self.generation == generation {
+        let mut guard = self.lock(None);
+        let Entries {
+            map,
+            order,
+            generation: current,
+        } = &mut *guard;
+        if *current == generation {
             return 0;
         }
-        let before = self.entries.len();
-        let entries = &mut self.entries;
-        self.order.retain(|key| {
-            let keep = match entries.get(key) {
+        let before = map.len();
+        order.retain(|key| {
+            let keep = match map.get(key) {
                 Some(CachedVerdict::Proved(_, steps)) => steps.iter().all(|s| match s {
                     Step::Constraint(i) => constraint_unchanged(*i),
                     Step::Refl | Step::Decompose => true,
@@ -405,17 +469,17 @@ impl ProofTable {
                 None => false,
             };
             if !keep {
-                entries.remove(key);
+                map.remove(key);
             }
             keep
         });
         debug_assert_eq!(
-            self.order.len(),
-            self.entries.len(),
+            order.len(),
+            map.len(),
             "order queue and entry map out of sync after rescope"
         );
-        self.generation = generation;
-        let kept = self.entries.len();
+        *current = generation;
+        let kept = map.len();
         if kept != before {
             self.obs.incr(Counter::TableInvalidations);
             self.obs.trace(&TraceEvent::TableInvalidate { generation });
@@ -424,54 +488,59 @@ impl ProofTable {
         kept as u64
     }
 
-    /// Looks up a key, counting a hit or a miss.
-    pub(crate) fn lookup(&mut self, key: &TableKey) -> Option<CachedVerdict> {
-        match self.entries.get(key) {
-            Some(v) => {
-                self.obs.incr(Counter::TableHits);
-                if self.obs.tracing() {
-                    self.obs.trace(&TraceEvent::TableHit {
-                        key: &key.fingerprint(),
-                    });
-                }
-                Some(v.clone())
-            }
-            None => {
-                self.obs.incr(Counter::TableMisses);
-                if self.obs.tracing() {
-                    self.obs.trace(&TraceEvent::TableMiss {
-                        key: &key.fingerprint(),
-                    });
-                }
-                None
-            }
+    /// Looks up a key under the constraint theory stamped `generation`,
+    /// counting a hit or a miss.
+    pub(crate) fn lookup(&self, generation: u64, key: &TableKey) -> Option<CachedVerdict> {
+        let found = {
+            let mut entries = self.lock(Some(Counter::TableReadRetries));
+            self.align(&mut entries, generation);
+            entries.map.get(key).cloned()
+        };
+        let counter = if found.is_some() {
+            Counter::TableHits
+        } else {
+            Counter::TableMisses
+        };
+        self.obs.incr(counter);
+        if self.obs.tracing() {
+            let key = &key.fingerprint();
+            self.obs.trace(&if found.is_some() {
+                TraceEvent::TableHit { key }
+            } else {
+                TraceEvent::TableMiss { key }
+            });
         }
+        found
     }
 
-    /// Stores a verdict, evicting the oldest entry when at capacity.
+    /// Stores a verdict derived under the theory stamped `generation`,
+    /// evicting the oldest entry when at capacity.
     ///
     /// Re-inserting a key that is already present *updates the verdict in
     /// place* — without enqueuing a second FIFO slot — and moves the key to
     /// the queue tail: a just-re-proved key is the hottest entry in the
     /// table, so leaving it at its original slot would evict it as if it
-    /// were cold. The membership test goes through `entries` (O(1)), which
+    /// were cold. The membership test goes through `map` (O(1)), which
     /// keeps `order` duplicate-free: pushing a second copy of a live key
     /// would make the queue grow past the entry count, charge `evictions`
     /// for queue slots whose key was already gone, and — because each insert
     /// pops at most one slot — let the table overshoot its capacity while
     /// evicting live entries early.
-    pub(crate) fn insert(&mut self, key: TableKey, verdict: CachedVerdict) {
-        if let Some(slot) = self.entries.get_mut(&key) {
+    pub(crate) fn insert(&self, generation: u64, key: TableKey, verdict: CachedVerdict) {
+        let mut guard = self.lock(Some(Counter::ShardContention));
+        self.align(&mut guard, generation);
+        let entries = &mut *guard;
+        if let Some(slot) = entries.map.get_mut(&key) {
             *slot = verdict;
-            if let Some(pos) = self.order.iter().position(|k| k == &key) {
-                let hot = self.order.remove(pos).expect("position is in range");
-                self.order.push_back(hot);
+            if let Some(pos) = entries.order.iter().position(|k| k == &key) {
+                let hot = entries.order.remove(pos).expect("position is in range");
+                entries.order.push_back(hot);
             }
             return;
         }
-        if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                let evicted = self.entries.remove(&oldest);
+        if entries.map.len() >= self.capacity {
+            if let Some(oldest) = entries.order.pop_front() {
+                let evicted = entries.map.remove(&oldest);
                 debug_assert!(evicted.is_some(), "order queue held a dead key");
                 self.obs.incr(Counter::TableEvictions);
                 if self.obs.tracing() {
@@ -481,12 +550,12 @@ impl ProofTable {
                 }
             }
         }
-        self.order.push_back(key.clone());
-        self.entries.insert(key, verdict);
+        entries.order.push_back(key.clone());
+        entries.map.insert(key, verdict);
         self.obs.incr(Counter::TableInserts);
         debug_assert_eq!(
-            self.order.len(),
-            self.entries.len(),
+            entries.order.len(),
+            entries.map.len(),
             "order queue and entry map out of sync"
         );
     }
@@ -495,7 +564,8 @@ impl ProofTable {
     /// canonical space through [`witness::validate_in`] — no prover is
     /// consulted. Returns `(validated, invalid)` and tallies the same into
     /// `witness_validated` / `witness_invalid`. `Refuted` entries carry no
-    /// chain and are skipped.
+    /// chain and are skipped. Run it after any parallel workers have
+    /// joined for an exact sweep.
     pub fn validate_witnesses(
         &self,
         sig: &Signature,
@@ -503,7 +573,7 @@ impl ProofTable {
     ) -> (u64, u64) {
         let mut validated = 0u64;
         let mut invalid = 0u64;
-        for (key, verdict) in &self.entries {
+        for (key, verdict) in &self.lock(None).map {
             if let CachedVerdict::Proved(answer, steps) = verdict {
                 // Witness replay is representation-independent: the goals
                 // decode back out of the flat key code, and the chain indexes
@@ -531,7 +601,7 @@ impl ProofTable {
 }
 
 /// The stable verdict name used in `subtype.end` trace events.
-pub(crate) fn verdict_name(proof: &Proof) -> &'static str {
+fn verdict_name(proof: &Proof) -> &'static str {
     match proof {
         Proof::Proved(_) => "proved",
         Proof::Refuted => "refuted",
@@ -643,48 +713,68 @@ impl Canonical {
     }
 }
 
-/// A caching wrapper around the deterministic [`Prover`], mirroring its API.
+/// The proving front end of the table, mirroring the untabled [`Prover`]'s
+/// API.
 ///
-/// Every conclusive verdict is recorded in (and, for repeats, served from)
-/// the shared [`ProofTable`]; the table's generation is checked against the
-/// constraint set on every call, so mutating the world — building a new
+/// Over `Some(&table)` every conclusive verdict is recorded in (and, for
+/// repeats, served from) the shared [`ProofTable`], under the constraint
+/// set's generation, so mutating the world — building a new
 /// [`ConstraintSet`](crate::ConstraintSet) — transparently invalidates it.
+/// Over `None` every judgement is derived live. Both go through the same
+/// ground-closure tier and the same accounting.
 ///
-/// The `RefCell` borrow is confined to lookup and insert; the live search
-/// itself never touches the table, so the wrapper is re-entrancy safe.
+/// The table's lock is confined to lookup and insert; the live search
+/// itself never touches the table, so the front end is re-entrancy safe
+/// and can be used from many threads over one table.
 #[derive(Debug, Clone, Copy)]
 pub struct TabledProver<'a> {
     prover: Prover<'a>,
     cs: &'a CheckedConstraints,
-    table: &'a RefCell<ProofTable>,
+    table: Option<&'a ProofTable>,
+    /// Where an untabled front end reports (see [`Self::with_obs`]).
+    obs: Option<&'a MetricsRegistry>,
+}
+
+/// An open `subtype_prove` span: when it started and, when tracing, the
+/// canonical fingerprint its end event repeats.
+struct Span {
+    started: Instant,
+    fingerprint: Option<String>,
 }
 
 impl<'a> TabledProver<'a> {
-    /// Creates a tabled prover with default limits over a shared table.
+    /// Creates a front end with default limits over an optional shared
+    /// table.
     pub fn new(
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
-        table: &'a RefCell<ProofTable>,
+        table: Option<&'a ProofTable>,
     ) -> Self {
-        TabledProver {
-            prover: Prover::new(sig, cs),
-            cs,
-            table,
-        }
+        Self::with_config(sig, cs, ProverConfig::default(), table)
     }
 
-    /// Creates a tabled prover with explicit limits.
+    /// Creates a front end with explicit limits.
     pub fn with_config(
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
         config: ProverConfig,
-        table: &'a RefCell<ProofTable>,
+        table: Option<&'a ProofTable>,
     ) -> Self {
         TabledProver {
             prover: Prover::with_config(sig, cs, config),
             cs,
             table,
+            obs: None,
         }
+    }
+
+    /// Attaches the registry an *untabled* front end reports into (builder
+    /// style). With a table it is not consulted: a table always accounts
+    /// into its own registry, so wiring the table to an invocation-wide
+    /// registry aggregates everything there.
+    pub fn with_obs(mut self, obs: Option<&'a MetricsRegistry>) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// The underlying (untabled) prover.
@@ -692,9 +782,18 @@ impl<'a> TabledProver<'a> {
         self.prover
     }
 
-    /// The shared table.
-    pub fn table(&self) -> &'a RefCell<ProofTable> {
+    /// The shared table, if any.
+    pub fn table(&self) -> Option<&'a ProofTable> {
         self.table
+    }
+
+    /// The registry every counter, timer and span of this front end lands
+    /// in: the table's when there is one, else the attached one.
+    fn obs(&self) -> Option<&'a MetricsRegistry> {
+        match self.table {
+            Some(table) => Some(table.metrics().as_ref()),
+            None => self.obs,
+        }
     }
 
     /// Tabled [`Prover::subtype`].
@@ -726,172 +825,172 @@ impl<'a> TabledProver<'a> {
         rigid: &BTreeSet<Var>,
         var_watermark: u32,
     ) -> Proof {
-        // Fully-ground conjunctions the precomputed closure decides never
-        // reach the canonical-key/table layer at all: no renaming, no key
-        // allocation, no lookup. The verdicts are exactly what the prover
-        // would return (ground searches bind nothing, so a proved ground
-        // conjunction's answer is the empty substitution).
-        match self.cs.ground_closure().decide_goals(goals) {
-            ClosureVerdict::Proved => {
-                let table = self.table.borrow();
-                table.obs.incr(Counter::SubtypeGoals);
-                table.obs.incr(Counter::ClosureHits);
-                return Proof::Proved(Subst::new());
-            }
-            ClosureVerdict::Refuted => {
-                let table = self.table.borrow();
-                table.obs.incr(Counter::SubtypeGoals);
-                table.obs.incr(Counter::ClosureHits);
-                return Proof::Refuted;
-            }
-            ClosureVerdict::Miss => self.table.borrow().obs.incr(Counter::ClosureMisses),
-            ClosureVerdict::NotGround => {}
+        if let Some(proof) = self.closure_verdict(goals, true) {
+            return proof;
         }
-        let started = Instant::now();
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        // Fingerprint rendering is skipped entirely when nobody traces.
-        let fingerprint = {
-            let table = self.table.borrow();
-            table.obs.incr(Counter::SubtypeGoals);
-            table.obs.add(Counter::ArenaTerms, 2 * goals.len() as u64);
-            table.obs.tracing().then(|| canon.key.fingerprint())
-        };
-        if let Some(fp) = &fingerprint {
-            self.table
-                .borrow()
-                .obs
-                .trace(&TraceEvent::SubtypeStart { key: fp });
-        }
-        let finish = |proof: Proof| -> Proof {
-            let obs = &self.table.borrow().obs;
-            let elapsed = started.elapsed();
-            obs.observe(Timer::SubtypeProve, elapsed);
-            if let Some(fp) = &fingerprint {
-                obs.trace(&TraceEvent::SubtypeEnd {
-                    key: fp,
-                    verdict: verdict_name(&proof),
-                    nanos: elapsed.as_nanos() as u64,
-                });
-            }
-            proof
-        };
-        {
-            let mut table = self.table.borrow_mut();
-            table.ensure_generation(self.cs.generation());
-            if let Some(verdict) = table.lookup(&canon.key) {
-                drop(table);
-                return finish(match verdict {
-                    CachedVerdict::Refuted => Proof::Refuted,
-                    CachedVerdict::Proved(answer, _) => Proof::Proved(canon.decode_answer(&answer)),
-                });
-            }
-        }
-        let (proof, steps) = self
-            .prover
-            .subtype_all_rigid_traced(goals, rigid, var_watermark);
-        let cached = match &proof {
-            Proof::Proved(answer) => canon
-                .encode_answer(answer)
-                .map(|a| CachedVerdict::Proved(a, Arc::new(steps))),
-            Proof::Refuted => Some(CachedVerdict::Refuted),
-            Proof::Unknown => None,
-        };
-        if let Some(verdict) = cached {
-            self.table.borrow_mut().insert(canon.key, verdict);
-        }
-        finish(proof)
+        let (span, canon) = self.open(goals, rigid, var_watermark);
+        let (proof, _) = self.lookup_or_derive(canon, goals, rigid, var_watermark);
+        self.close(span, || verdict_name(&proof));
+        proof
     }
 
     /// [`Self::subtype_all_rigid`] with evidence attached: `Proved` carries
     /// a replayable [`Witness`] whose chain is interned with the table entry
     /// (hits share it), `Refuted` a 1-minimal failing core computed by
-    /// greedy constraint-dropping re-proving *under the table* — shrinking
-    /// repeats are memoized, so it stays cheap.
+    /// greedy constraint-dropping re-proving through the same front end —
+    /// under a table the shrinking repeats are memoized, so it stays cheap.
     ///
     /// Instrumentation is identical to the plain method (`subtype_goals`,
     /// the `subtype_prove` timer, span events), plus `witness_emitted` /
-    /// `refuted_core_size` for the evidence itself.
+    /// `refuted_core_size` for the evidence itself. The ground closure is
+    /// not consulted: it decides verdicts, not derivation chains.
     pub fn subtype_all_rigid_witnessed(
         &self,
         goals: &[(Term, Term)],
         rigid: &BTreeSet<Var>,
         var_watermark: u32,
     ) -> Witnessed {
-        let started = Instant::now();
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        let fingerprint = {
-            let table = self.table.borrow();
-            table.obs.incr(Counter::SubtypeGoals);
-            table.obs.add(Counter::ArenaTerms, 2 * goals.len() as u64);
-            table.obs.tracing().then(|| canon.key.fingerprint())
-        };
-        if let Some(fp) = &fingerprint {
-            self.table
-                .borrow()
-                .obs
-                .trace(&TraceEvent::SubtypeStart { key: fp });
-        }
-        let finish = |out: Witnessed| -> Witnessed {
-            let obs = &self.table.borrow().obs;
-            let elapsed = started.elapsed();
-            obs.observe(Timer::SubtypeProve, elapsed);
-            if let Some(fp) = &fingerprint {
-                obs.trace(&TraceEvent::SubtypeEnd {
-                    key: fp,
-                    verdict: verdict_name(&out.proof()),
-                    nanos: elapsed.as_nanos() as u64,
-                });
-            }
-            out
-        };
-        let emit = |witness: Witness| -> Witnessed {
-            self.table.borrow().obs.incr(Counter::WitnessEmitted);
-            Witnessed::Proved(witness)
-        };
-        let cached = {
-            let mut table = self.table.borrow_mut();
-            table.ensure_generation(self.cs.generation());
-            table.lookup(&canon.key)
-        };
-        match cached {
-            Some(CachedVerdict::Proved(answer, steps)) => finish(emit(Witness {
-                goals: goals.to_vec(),
-                answer: canon.decode_answer(&answer),
-                steps,
-            })),
-            Some(CachedVerdict::Refuted) => finish(Witnessed::Refuted {
-                core: self.shrink_refuted(goals, rigid, var_watermark),
-            }),
-            None => {
-                let (proof, steps) =
-                    self.prover
-                        .subtype_all_rigid_traced(goals, rigid, var_watermark);
-                match proof {
-                    Proof::Proved(answer) => {
-                        let steps = Arc::new(steps);
-                        if let Some(encoded) = canon.encode_answer(&answer) {
-                            self.table
-                                .borrow_mut()
-                                .insert(canon.key, CachedVerdict::Proved(encoded, steps.clone()));
-                        }
-                        finish(emit(Witness {
-                            goals: goals.to_vec(),
-                            answer,
-                            steps,
-                        }))
-                    }
-                    Proof::Refuted => {
-                        self.table
-                            .borrow_mut()
-                            .insert(canon.key, CachedVerdict::Refuted);
-                        finish(Witnessed::Refuted {
-                            core: self.shrink_refuted(goals, rigid, var_watermark),
-                        })
-                    }
-                    Proof::Unknown => finish(Witnessed::Unknown),
+        let (span, canon) = self.open(goals, rigid, var_watermark);
+        let out = match self.lookup_or_derive(canon, goals, rigid, var_watermark) {
+            (Proof::Proved(answer), steps) => {
+                if let Some(o) = self.obs() {
+                    o.incr(Counter::WitnessEmitted);
                 }
+                Witnessed::Proved(Witness {
+                    goals: goals.to_vec(),
+                    answer,
+                    steps,
+                })
+            }
+            (Proof::Refuted, _) => Witnessed::Refuted {
+                core: self.shrink_refuted(goals, rigid, var_watermark),
+            },
+            (Proof::Unknown, _) => Witnessed::Unknown,
+        };
+        self.close(span, || verdict_name(&out.proof()));
+        out
+    }
+
+    /// The ground-closure tier: a fully-ground conjunction the precomputed
+    /// closure decides never reaches the canonical-key/table layer at all —
+    /// no renaming, no key, no lock. The verdict is exactly what the prover
+    /// would return (ground searches bind nothing, so a proved ground
+    /// conjunction's answer is the empty substitution). `counted` ticks
+    /// `subtype_goals` and `closure_hits` / `closure_misses`.
+    fn closure_verdict(&self, goals: &[(Term, Term)], counted: bool) -> Option<Proof> {
+        let obs = self.obs().filter(|_| counted);
+        let proof = match self.cs.ground_closure().decide_goals(goals) {
+            ClosureVerdict::Proved => Proof::Proved(Subst::new()),
+            ClosureVerdict::Refuted => Proof::Refuted,
+            ClosureVerdict::Miss => {
+                if let Some(o) = obs {
+                    o.incr(Counter::ClosureMisses);
+                }
+                return None;
+            }
+            ClosureVerdict::NotGround => return None,
+        };
+        if let Some(o) = obs {
+            o.incr(Counter::SubtypeGoals);
+            o.incr(Counter::ClosureHits);
+        }
+        Some(proof)
+    }
+
+    /// Opens the instrumented span of one query: counts the goal, starts
+    /// the `subtype_prove` timer and traces `subtype.start`. Builds the
+    /// query's canonical key when there is a table to look it up in.
+    fn open(
+        &self,
+        goals: &[(Term, Term)],
+        rigid: &BTreeSet<Var>,
+        var_watermark: u32,
+    ) -> (Span, Option<Canonical>) {
+        let started = Instant::now();
+        let canon = self
+            .table
+            .map(|_| Canonical::of(goals, rigid, var_watermark));
+        let mut fingerprint = None;
+        if let Some(o) = self.obs() {
+            o.incr(Counter::SubtypeGoals);
+            if canon.is_some() {
+                o.add(Counter::ArenaTerms, 2 * goals.len() as u64);
+            }
+            // Fingerprint rendering is skipped entirely when nobody traces.
+            if o.tracing() {
+                let fp = match &canon {
+                    Some(c) => c.key.fingerprint(),
+                    None => Canonical::of(goals, rigid, var_watermark).key.fingerprint(),
+                };
+                o.trace(&TraceEvent::SubtypeStart { key: &fp });
+                fingerprint = Some(fp);
             }
         }
+        (
+            Span {
+                started,
+                fingerprint,
+            },
+            canon,
+        )
+    }
+
+    /// Closes a span opened by [`Self::open`]: records the timer and traces
+    /// `subtype.end` with the verdict name.
+    fn close(&self, span: Span, verdict: impl FnOnce() -> &'static str) {
+        let Some(o) = self.obs() else {
+            return;
+        };
+        let elapsed = span.started.elapsed();
+        o.observe(Timer::SubtypeProve, elapsed);
+        if let Some(fp) = &span.fingerprint {
+            o.trace(&TraceEvent::SubtypeEnd {
+                key: fp,
+                verdict: verdict(),
+                nanos: elapsed.as_nanos() as u64,
+            });
+        }
+    }
+
+    /// The judgement itself, shared by every entry point: a table hit is
+    /// translated back into the caller's variables; a miss (or no table)
+    /// is derived live and, when conclusive, recorded under `canon`'s key.
+    /// Returns the proof with the derivation chain of a proved one (empty
+    /// otherwise).
+    fn lookup_or_derive(
+        &self,
+        canon: Option<Canonical>,
+        goals: &[(Term, Term)],
+        rigid: &BTreeSet<Var>,
+        var_watermark: u32,
+    ) -> (Proof, Arc<Vec<Step>>) {
+        let generation = self.cs.generation();
+        if let Some((table, canon)) = self.table.zip(canon.as_ref()) {
+            match table.lookup(generation, &canon.key) {
+                Some(CachedVerdict::Proved(answer, steps)) => {
+                    return (Proof::Proved(canon.decode_answer(&answer)), steps);
+                }
+                Some(CachedVerdict::Refuted) => return (Proof::Refuted, Arc::default()),
+                None => {}
+            }
+        }
+        let (proof, steps) = self
+            .prover
+            .subtype_all_rigid_traced(goals, rigid, var_watermark);
+        let steps = Arc::new(steps);
+        if let Some((table, canon)) = self.table.zip(canon) {
+            let cached = match &proof {
+                Proof::Proved(answer) => canon
+                    .encode_answer(answer)
+                    .map(|a| CachedVerdict::Proved(a, Arc::clone(&steps))),
+                Proof::Refuted => Some(CachedVerdict::Refuted),
+                Proof::Unknown => None,
+            };
+            if let Some(verdict) = cached {
+                table.insert(generation, canon.key, verdict);
+            }
+        }
+        (proof, steps)
     }
 
     /// Greedy core shrinking for a refuted conjunction, deciding every
@@ -906,57 +1005,31 @@ impl<'a> TabledProver<'a> {
             self.subtype_all_rigid_quiet(subset, rigid, var_watermark)
                 .is_refuted()
         });
-        self.table
-            .borrow()
-            .obs
-            .add(Counter::RefutedCoreSize, core.len() as u64);
+        if let Some(o) = self.obs() {
+            o.add(Counter::RefutedCoreSize, core.len() as u64);
+        }
         core
     }
 
-    /// The tabled judgement with *no* query instrumentation: no
-    /// `subtype_goals` tick, no timer, no span events. The table's own
+    /// The judgement with *no* query instrumentation: no `subtype_goals`
+    /// tick, no closure counters, no timer, no span events. The table's own
     /// hit/miss/insert counters still move — those are excluded from
     /// scheduling invariance anyway — so core shrinking can lean on the memo
     /// table without making `subtype_goals` depend on how many Refuted
     /// verdicts were witnessed.
-    pub(crate) fn subtype_all_rigid_quiet(
+    fn subtype_all_rigid_quiet(
         &self,
         goals: &[(Term, Term)],
         rigid: &BTreeSet<Var>,
         var_watermark: u32,
     ) -> Proof {
-        // Quiet means quiet: the closure short-circuit skips even its own
-        // counters here, so shrink traffic never moves `closure_hits`.
-        match self.cs.ground_closure().decide_goals(goals) {
-            ClosureVerdict::Proved => return Proof::Proved(Subst::new()),
-            ClosureVerdict::Refuted => return Proof::Refuted,
-            ClosureVerdict::Miss | ClosureVerdict::NotGround => {}
+        if let Some(proof) = self.closure_verdict(goals, false) {
+            return proof;
         }
-        let canon = Canonical::of(goals, rigid, var_watermark);
-        {
-            let mut table = self.table.borrow_mut();
-            table.ensure_generation(self.cs.generation());
-            if let Some(verdict) = table.lookup(&canon.key) {
-                return match verdict {
-                    CachedVerdict::Refuted => Proof::Refuted,
-                    CachedVerdict::Proved(answer, _) => Proof::Proved(canon.decode_answer(&answer)),
-                };
-            }
-        }
-        let (proof, steps) = self
-            .prover
-            .subtype_all_rigid_traced(goals, rigid, var_watermark);
-        let cached = match &proof {
-            Proof::Proved(answer) => canon
-                .encode_answer(answer)
-                .map(|a| CachedVerdict::Proved(a, Arc::new(steps))),
-            Proof::Refuted => Some(CachedVerdict::Refuted),
-            Proof::Unknown => None,
-        };
-        if let Some(verdict) = cached {
-            self.table.borrow_mut().insert(canon.key, verdict);
-        }
-        proof
+        let canon = self
+            .table
+            .map(|_| Canonical::of(goals, rigid, var_watermark));
+        self.lookup_or_derive(canon, goals, rigid, var_watermark).0
     }
 
     /// Decides a batch of *independent* subtype goals (no shared
@@ -1004,16 +1077,11 @@ mod tests {
     use super::*;
     use crate::prover::tests::world;
 
-    /// Counts distinct entries the slow way, for cross-checking.
-    fn table_len(t: &RefCell<ProofTable>) -> usize {
-        t.borrow().len()
-    }
-
     #[test]
     fn alpha_variant_queries_share_one_entry() {
         let mut w = world();
-        let table = RefCell::new(ProofTable::new());
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let (a, b) = (w.gen.fresh(), w.gen.fresh());
         let (x, y) = (w.gen.fresh(), w.gen.fresh());
         let list_a = Term::app(w.list, vec![Term::Var(a)]);
@@ -1022,17 +1090,17 @@ mod tests {
         let nelist_y = Term::app(w.nelist, vec![Term::Var(y)]);
         assert!(p.subtype(&list_a, &nelist_b).is_proved());
         assert!(p.subtype(&list_x, &nelist_y).is_proved());
-        let stats = table.borrow().stats();
+        let stats = table.stats();
         assert_eq!(stats.misses, 1, "first query misses");
         assert_eq!(stats.hits, 1, "alpha-variant repeat hits");
-        assert_eq!(table_len(&table), 1, "one shared entry");
+        assert_eq!(table.len(), 1, "one shared entry");
     }
 
     #[test]
     fn hit_answers_bind_the_callers_own_variables() {
         let mut w = world();
-        let table = RefCell::new(ProofTable::new());
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let item = w.num(2);
         let a = w.gen.fresh();
         let first = p.member(
@@ -1044,7 +1112,7 @@ mod tests {
             &Term::app(w.list, vec![Term::Var(b)]),
             &w.list_of(std::slice::from_ref(&item)),
         );
-        assert_eq!(table.borrow().stats().hits, 1);
+        assert_eq!(table.stats().hits, 1);
         // The translated answer must speak about b, not a, and witness the
         // same membership.
         let answer = second.answer().expect("proved");
@@ -1060,8 +1128,8 @@ mod tests {
         // set (`list(int)` etc.) — closure misses, so they exercise the
         // table layer. Nullary ground goals would short-circuit before it.
         let w = world();
-        let table = RefCell::new(ProofTable::new());
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let elist = Term::constant(w.elist);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let nelist_int = Term::app(w.nelist, vec![Term::constant(w.int)]);
@@ -1069,13 +1137,13 @@ mod tests {
         assert!(p.subtype(&list_int, &elist).is_proved());
         assert!(p.subtype(&nelist_int, &elist).is_refuted());
         assert!(p.subtype(&list_nat, &elist).is_proved());
-        let stats = table.borrow().stats();
+        let stats = table.stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 3);
-        assert_eq!(table_len(&table), 3);
+        assert_eq!(table.len(), 3);
         // Repeats of each now hit, with unchanged verdicts.
         assert!(p.subtype(&nelist_int, &elist).is_refuted());
-        assert_eq!(table.borrow().stats().hits, 1);
+        assert_eq!(table.stats().hits, 1);
     }
 
     #[test]
@@ -1084,8 +1152,8 @@ mod tests {
         // verdicts — int >= W is provable for flexible W (W := nat) but not
         // for rigid W — so the two must occupy different entries.
         let mut w = world();
-        let table = RefCell::new(ProofTable::new());
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let v = w.gen.fresh();
         let goal = [(Term::constant(w.int), Term::Var(v))];
         let flexible = p.subtype_all_rigid(&goal, &BTreeSet::new(), w.gen.watermark());
@@ -1093,35 +1161,35 @@ mod tests {
         let inert = p.subtype_all_rigid(&goal, &rigid, w.gen.watermark());
         assert!(flexible.is_proved());
         assert!(inert.is_refuted());
-        assert_eq!(table.borrow().stats().hits, 0);
-        assert_eq!(table_len(&table), 2);
+        assert_eq!(table.stats().hits, 0);
+        assert_eq!(table.len(), 2);
     }
 
     #[test]
     fn unknown_is_never_cached() {
         let mut w = world();
-        let table = RefCell::new(ProofTable::new());
+        let table = ProofTable::new();
         let config = ProverConfig {
             var_expansion_budget: 0,
             ..ProverConfig::default()
         };
-        let p = TabledProver::with_config(&w.sig, &w.cs, config, &table);
+        let p = TabledProver::with_config(&w.sig, &w.cs, config, Some(&table));
         let a = w.gen.fresh();
         let ty = Term::app(w.list, vec![Term::Var(a)]);
         let t = w.list_of(&[w.num(0), w.num(-1)]);
         assert!(p.member(&ty, &t).is_unknown());
         assert!(p.member(&ty, &t).is_unknown());
-        let stats = table.borrow().stats();
+        let stats = table.stats();
         assert_eq!(stats.misses, 2, "both calls fall through");
         assert_eq!(stats.inserts, 0, "Unknown never stored");
-        assert!(table_len(&table) == 0);
+        assert!(table.is_empty());
     }
 
     #[test]
     fn fifo_eviction_under_tiny_capacity() {
         let w = world();
-        let table = RefCell::new(ProofTable::with_capacity(2));
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::with_capacity(2);
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let elist = Term::constant(w.elist);
         let g1 = Term::app(w.list, vec![Term::constant(w.int)]);
         let g2 = Term::app(w.list, vec![Term::constant(w.nat)]);
@@ -1130,14 +1198,14 @@ mod tests {
         p.subtype(&g1, &elist); // entry 1
         p.subtype(&g2, &elist); // entry 2
         p.subtype(&g3, &elist); // entry 3, evicts entry 1
-        let stats = table.borrow().stats();
+        let stats = table.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!(table_len(&table), 2);
+        assert_eq!(table.len(), 2);
         // Entry 1 was evicted: re-asking misses; entry 3 still hits.
         p.subtype(&g1, &elist);
-        assert_eq!(table.borrow().stats().hits, 0);
+        assert_eq!(table.stats().hits, 0);
         p.subtype(&g3, &elist);
-        assert_eq!(table.borrow().stats().hits, 1);
+        assert_eq!(table.stats().hits, 1);
     }
 
     /// Builds a distinct canonical key without running the prover, so the
@@ -1160,7 +1228,7 @@ mod tests {
     #[test]
     fn reinsert_under_capacity_pressure_does_not_double_count() {
         let w = world();
-        let mut table = ProofTable::with_capacity(2);
+        let table = ProofTable::with_capacity(2);
         let a = key_of(w.int, w.nat);
         let b = key_of(w.int, w.unnat);
         let c = key_of(w.nat, w.unnat);
@@ -1169,22 +1237,23 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a, d);
 
-        table.insert(a.clone(), CachedVerdict::Refuted);
+        table.insert(0, a.clone(), CachedVerdict::Refuted);
         // Overwrite: same key again, now with an answer. Must not enqueue a
         // second FIFO slot for `a`.
         table.insert(
+            0,
             a.clone(),
             CachedVerdict::Proved(Subst::new(), Arc::new(Vec::new())),
         );
         assert_eq!(table.len(), 1, "re-insert did not add an entry");
         assert!(
-            matches!(table.lookup(&a), Some(CachedVerdict::Proved(..))),
+            matches!(table.lookup(0, &a), Some(CachedVerdict::Proved(..))),
             "re-insert updated the verdict in place"
         );
 
-        table.insert(b.clone(), CachedVerdict::Refuted); // fills the table
-        table.insert(c.clone(), CachedVerdict::Refuted); // evicts a (oldest)
-        table.insert(d.clone(), CachedVerdict::Refuted); // evicts b
+        table.insert(0, b.clone(), CachedVerdict::Refuted); // fills the table
+        table.insert(0, c.clone(), CachedVerdict::Refuted); // evicts a (oldest)
+        table.insert(0, d.clone(), CachedVerdict::Refuted); // evicts b
 
         let stats = table.stats();
         assert!(
@@ -1197,10 +1266,10 @@ mod tests {
         assert_eq!(stats.inserts, 4, "four distinct keys stored");
         // FIFO order survived the overwrite: the live entries are the two
         // most recent keys, and the overwritten key really is gone.
-        assert!(table.lookup(&c).is_some(), "c is live");
-        assert!(table.lookup(&d).is_some(), "d is live");
-        assert!(table.lookup(&a).is_none(), "a was evicted first");
-        assert!(table.lookup(&b).is_none(), "b was evicted second");
+        assert!(table.lookup(0, &c).is_some(), "c is live");
+        assert!(table.lookup(0, &d).is_some(), "d is live");
+        assert!(table.lookup(0, &a).is_none(), "a was evicted first");
+        assert!(table.lookup(0, &b).is_none(), "b was evicted second");
     }
 
     /// The FIFO bug fixed in this PR: an in-place verdict update used to
@@ -1210,27 +1279,28 @@ mod tests {
     #[test]
     fn in_place_update_moves_key_to_fifo_tail() {
         let w = world();
-        let mut table = ProofTable::with_capacity(2);
+        let table = ProofTable::with_capacity(2);
         let a = key_of(w.int, w.nat);
         let b = key_of(w.int, w.unnat);
         let c = key_of(w.nat, w.unnat);
-        table.insert(a.clone(), CachedVerdict::Refuted);
-        table.insert(b.clone(), CachedVerdict::Refuted);
+        table.insert(0, a.clone(), CachedVerdict::Refuted);
+        table.insert(0, b.clone(), CachedVerdict::Refuted);
         // Re-prove `a`: it is now the hottest entry, leaving `b` the oldest.
         table.insert(
+            0,
             a.clone(),
             CachedVerdict::Proved(Subst::new(), Arc::new(Vec::new())),
         );
         assert_eq!(table.len(), 2, "in-place update added no entry");
         // Overflow must evict `b`, not the just-updated `a`.
-        table.insert(c.clone(), CachedVerdict::Refuted);
+        table.insert(0, c.clone(), CachedVerdict::Refuted);
         let stats = table.stats();
         assert_eq!(table.len(), 2);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.inserts, 3, "an in-place update is not an insert");
-        assert!(table.lookup(&a).is_some(), "hot re-proved key survives");
-        assert!(table.lookup(&c).is_some(), "new key is live");
-        assert!(table.lookup(&b).is_none(), "the cold key was evicted");
+        assert!(table.lookup(0, &a).is_some(), "hot re-proved key survives");
+        assert!(table.lookup(0, &c).is_some(), "new key is live");
+        assert!(table.lookup(0, &b).is_none(), "the cold key was evicted");
     }
 
     /// Fully ground goals over the nullary fragment are answered by the
@@ -1240,8 +1310,8 @@ mod tests {
     fn ground_goals_short_circuit_through_the_closure() {
         let w = world();
         let obs = MetricsRegistry::shared();
-        let table = RefCell::new(ProofTable::with_metrics(Arc::clone(&obs)));
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::with_metrics(Arc::clone(&obs));
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         assert!(p
             .subtype(&Term::constant(w.int), &Term::constant(w.nat))
             .is_proved());
@@ -1254,22 +1324,22 @@ mod tests {
         assert_eq!(obs.get(Counter::ClosureHits), 3);
         assert_eq!(obs.get(Counter::ClosureMisses), 0);
         assert_eq!(obs.get(Counter::ArenaTerms), 0, "no keys were encoded");
-        let stats = table.borrow().stats();
+        let stats = table.stats();
         assert_eq!(stats.hits + stats.misses, 0, "table never consulted");
-        assert_eq!(table_len(&table), 0);
+        assert_eq!(table.len(), 0);
         // A ground goal outside the node set still takes the table path.
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         assert!(p.subtype(&list_int, &Term::constant(w.elist)).is_proved());
         assert_eq!(obs.get(Counter::ClosureMisses), 1);
-        assert_eq!(table.borrow().stats().misses, 1);
+        assert_eq!(table.stats().misses, 1);
         assert_eq!(obs.get(Counter::ArenaTerms), 2, "one goal, two terms");
     }
 
     #[test]
     fn counter_accuracy_over_a_mixed_run() {
         let w = world();
-        let table = RefCell::new(ProofTable::new());
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let elist = Term::constant(w.elist);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let nelist_int = Term::app(w.nelist, vec![Term::constant(w.int)]);
@@ -1279,7 +1349,7 @@ mod tests {
         for _ in 0..3 {
             assert!(p.subtype(&nelist_int, &elist).is_refuted());
         }
-        let stats = table.borrow().stats();
+        let stats = table.stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 6);
         assert_eq!(stats.inserts, 2);
@@ -1292,33 +1362,33 @@ mod tests {
         let w1 = world();
         let w2 = world(); // identical constraints, different generation
         assert_ne!(w1.cs.generation(), w2.cs.generation());
-        let table = RefCell::new(ProofTable::new());
+        let table = ProofTable::new();
         let sup1 = Term::app(w1.list, vec![Term::constant(w1.int)]);
         let sub1 = Term::constant(w1.elist);
         {
-            let p = TabledProver::new(&w1.sig, &w1.cs, &table);
+            let p = TabledProver::new(&w1.sig, &w1.cs, Some(&table));
             p.subtype(&sup1, &sub1);
             p.subtype(&sup1, &sub1);
-            assert_eq!(table.borrow().stats().hits, 1);
+            assert_eq!(table.stats().hits, 1);
         }
         {
             // Switching worlds clears the table: the same-looking query
             // misses again instead of reusing w1's verdict.
-            let p = TabledProver::new(&w2.sig, &w2.cs, &table);
+            let p = TabledProver::new(&w2.sig, &w2.cs, Some(&table));
             let sup2 = Term::app(w2.list, vec![Term::constant(w2.int)]);
             p.subtype(&sup2, &Term::constant(w2.elist));
-            let stats = table.borrow().stats();
+            let stats = table.stats();
             assert_eq!(stats.hits, 1, "no new hit across worlds");
             assert_eq!(stats.invalidations, 1);
-            assert_eq!(table.borrow().generation(), w2.cs.generation());
+            assert_eq!(table.generation(), w2.cs.generation());
         }
     }
 
     #[test]
     fn batch_sorts_duplicates_into_hits() {
         let w = world();
-        let table = RefCell::new(ProofTable::new());
-        let p = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let elist = Term::constant(w.elist);
         let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
         let nelist_int = Term::app(w.nelist, vec![Term::constant(w.int)]);
@@ -1341,7 +1411,7 @@ mod tests {
         assert!(proofs[3].is_proved());
         assert!(proofs[4].is_refuted());
         assert!(proofs[5].is_proved());
-        let stats = table.borrow().stats();
+        let stats = table.stats();
         assert_eq!(stats.misses, 3, "three distinct judgements");
         assert_eq!(stats.hits, 3, "every duplicate hits");
     }
@@ -1349,8 +1419,8 @@ mod tests {
     #[test]
     fn tabled_and_untabled_agree_on_the_paper_world() {
         let mut w = world();
-        let table = RefCell::new(ProofTable::new());
-        let tabled = TabledProver::new(&w.sig, &w.cs, &table);
+        let table = ProofTable::new();
+        let tabled = TabledProver::new(&w.sig, &w.cs, Some(&table));
         let untabled = Prover::new(&w.sig, &w.cs);
         let a = w.gen.fresh();
         let cases = vec![
@@ -1379,5 +1449,220 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn alpha_variant_queries_share_one_entry_across_threads() {
+        let mut w = world();
+        let table = ProofTable::new();
+        let (a, b) = (w.gen.fresh(), w.gen.fresh());
+        let list_a = Term::app(w.list, vec![Term::Var(a)]);
+        let nelist_b = Term::app(w.nelist, vec![Term::Var(b)]);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
+                    assert!(p.subtype(&list_a, &nelist_b).is_proved());
+                });
+            }
+        });
+        let stats = table.stats();
+        assert_eq!(stats.hits + stats.misses, 4, "every call counted");
+        assert_eq!(stats.inserts, 1, "racing misses update one entry in place");
+        assert_eq!(table.len(), 1, "one shared entry across all threads");
+    }
+
+    /// The entry of `list(A) ⪰ [30 nats]` is far larger than the 240-word
+    /// bucket payload the lock-free store had, which declined it: a shared
+    /// table under `--jobs 2` then never cached it. One table stores every
+    /// entry, whatever its size, for every thread.
+    #[test]
+    fn oversize_entries_are_stored_and_shared_across_threads() {
+        let mut w = world();
+        let items: Vec<Term> = (0..30).map(|i| w.num(i % 5)).collect();
+        let long = w.list_of(&items);
+        let a = w.gen.fresh();
+        let list_a = Term::app(w.list, vec![Term::Var(a)]);
+        let key = Canonical::of(&[(list_a.clone(), long.clone())], &BTreeSet::new(), 0).key;
+        assert!(key.code.len() > 240, "entry of {} words", key.code.len());
+        let table = ProofTable::new();
+        for _ in 0..2 {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
+                    assert!(p.member(&list_a, &long).is_proved());
+                });
+            });
+        }
+        let stats = table.stats();
+        assert_eq!(stats.inserts, 1, "the first thread's verdict is stored");
+        assert_eq!(stats.hits, 1, "the second thread hits it");
+    }
+
+    /// A lookup or insert that finds the lock taken counts the wait
+    /// (`table_read_retries` / `shard_contention`) and then blocks: it
+    /// never skips, so the insert still lands. `stats()` takes no lock, so
+    /// a stats poll never waits behind working threads.
+    #[test]
+    fn a_busy_lock_is_counted_then_waited_for() {
+        let w = world();
+        let table = ProofTable::new();
+        let obs = Arc::clone(table.metrics());
+        let (a, b) = (key_of(w.int, w.nat), key_of(w.int, w.unnat));
+        let wait_for = |counter: Counter| {
+            while obs.get(counter) == 0 {
+                std::thread::yield_now();
+            }
+        };
+        let held = table.entries.lock().expect("fresh lock");
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| table.lookup(0, &a));
+            wait_for(Counter::TableReadRetries);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let table = &table;
+            scope.spawn(move || tx.send(table.stats()).expect("receiver alive"));
+            rx.recv_timeout(std::time::Duration::from_secs(5))
+                .expect("stats() completed while the lock was held");
+            drop(held);
+            assert!(worker.join().expect("lookup finished").is_none());
+        });
+        let held = table.entries.lock().expect("healthy lock");
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| table.insert(0, b.clone(), CachedVerdict::Refuted));
+            wait_for(Counter::ShardContention);
+            drop(held);
+            worker.join().expect("insert finished");
+        });
+        assert_eq!(obs.get(Counter::TableReadRetries), 1);
+        assert_eq!(obs.get(Counter::ShardContention), 1);
+        assert_eq!(table.stats().inserts, 1, "the contended insert landed");
+        assert!(table.lookup(0, &b).is_some());
+    }
+
+    #[test]
+    fn poisoned_lock_recovers_and_keeps_checking() {
+        let w = world();
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
+        let elist = Term::constant(w.elist);
+        let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
+        let nelist_int = Term::app(w.nelist, vec![Term::constant(w.int)]);
+        assert!(p.subtype(&list_int, &elist).is_proved());
+        assert_eq!(table.len(), 1, "warm entry before the fault");
+        // The fault the serve harness injects: a panic while the lock is
+        // held, after which the cache state is no longer trusted.
+        let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.panic_holding_lock("injected fault")
+        }));
+        assert!(fault.is_err());
+        assert!(table.entries.is_poisoned());
+        let invalidations = table.stats().invalidations;
+        // The next access recovers (wipe + unpoison) and verdicts come back
+        // correct.
+        assert!(p.subtype(&list_int, &elist).is_proved());
+        assert!(p.subtype(&nelist_int, &elist).is_refuted());
+        assert!(!table.entries.is_poisoned());
+        assert_eq!(table.stats().invalidations, invalidations + 1);
+        assert_eq!(table.len(), 2, "table rebuilt after poison recovery");
+    }
+
+    #[test]
+    fn rescope_keeps_proofs_whose_constraints_survive() {
+        let w = world();
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
+        let elist = Term::constant(w.elist);
+        let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
+        let list_nat = Term::app(w.list, vec![Term::constant(w.nat)]);
+        let nelist_int = Term::app(w.nelist, vec![Term::constant(w.int)]);
+        assert!(p.subtype(&list_int, &elist).is_proved());
+        assert!(p.subtype(&list_nat, &elist).is_proved());
+        assert!(p.subtype(&nelist_int, &elist).is_refuted());
+        assert_eq!(table.len(), 3);
+        // Extend the theory with one (redundant) constraint: a pure
+        // addition, so every old index is unchanged — proofs must stay,
+        // the refutation must go.
+        let mut set2 = w.cs.as_set().clone();
+        set2.add(&w.sig, Term::constant(w.int), Term::constant(w.nat))
+            .unwrap();
+        let cs2 = set2.checked(&w.sig).unwrap();
+        let kept = table.rescope(cs2.generation(), &|_| true, false);
+        assert_eq!(
+            kept, 2,
+            "both proved entries survive, the refuted one is dropped"
+        );
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.metrics().get(Counter::IncrementalReuse), 2);
+        // The survivors are served as hits under the new theory.
+        let misses = table.stats().misses;
+        let p2 = TabledProver::new(&w.sig, &cs2, Some(&table));
+        assert!(p2.subtype(&list_int, &elist).is_proved());
+        assert_eq!(table.stats().misses, misses, "retained entry hits");
+    }
+
+    /// An all-ground nullary batch is decided entirely by the precomputed
+    /// closure — no canonical keys, no lock, no table traffic — from one
+    /// thread or several.
+    #[test]
+    fn all_ground_batch_never_touches_the_table() {
+        let w = world();
+        let table = ProofTable::new();
+        let p = TabledProver::new(&w.sig, &w.cs, Some(&table));
+        let goals: Vec<(Term, Term)> = vec![
+            (Term::constant(w.int), Term::constant(w.nat)),
+            (Term::constant(w.nat), Term::constant(w.int)),
+            (Term::constant(w.int), Term::constant(w.unnat)),
+            (Term::constant(w.elist), Term::constant(w.nil)),
+            (Term::constant(w.nat), w.num(2)),
+        ];
+        let proofs = p.subtype_batch(&goals);
+        assert!(proofs[0].is_proved());
+        assert!(proofs[1].is_refuted());
+        assert!(proofs[2].is_proved());
+        assert!(proofs[3].is_proved());
+        assert!(proofs[4].is_proved());
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for (sup, sub) in &goals {
+                        assert!(!p.subtype(sup, sub).is_unknown());
+                    }
+                });
+            }
+        });
+        let obs = table.metrics();
+        assert_eq!(obs.get(Counter::ClosureHits), 5 * goals.len() as u64);
+        assert_eq!(obs.get(Counter::ClosureMisses), 0);
+        assert_eq!(obs.get(Counter::ArenaTerms), 0, "no keys were encoded");
+        let stats = table.stats();
+        assert_eq!(stats.hits + stats.misses + stats.inserts, 0);
+        assert_eq!(
+            obs.get(Counter::TableReadRetries),
+            0,
+            "the lock was never taken"
+        );
+        assert_eq!(table.len(), 0);
+    }
+
+    /// With no table the front end still answers through the closure tier
+    /// and accounts into the attached registry.
+    #[test]
+    fn untabled_front_end_derives_live_and_reports_into_obs() {
+        let w = world();
+        let obs = MetricsRegistry::shared();
+        let p = TabledProver::new(&w.sig, &w.cs, None).with_obs(Some(&obs));
+        let elist = Term::constant(w.elist);
+        let list_int = Term::app(w.list, vec![Term::constant(w.int)]);
+        for _ in 0..2 {
+            assert!(p.subtype(&list_int, &elist).is_proved());
+        }
+        assert!(p
+            .subtype(&Term::constant(w.int), &Term::constant(w.nat))
+            .is_proved());
+        assert_eq!(obs.get(Counter::SubtypeGoals), 3);
+        assert_eq!(obs.get(Counter::ClosureHits), 1);
+        assert_eq!(obs.get(Counter::ClosureMisses), 2);
+        assert_eq!(obs.get(Counter::TableMisses), 0, "no table, no lookups");
+        assert_eq!(obs.get(Counter::ArenaTerms), 0, "no keys were encoded");
     }
 }

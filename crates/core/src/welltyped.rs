@@ -9,6 +9,12 @@
 //!
 //! [`PredTypeTable`] is the paper's set `D` of predicate types, one per
 //! predicate symbol (Definitions 14–15).
+//!
+//! [`Checker`] checks one clause at a time; [`ParallelChecker`] runs it over
+//! the worker pool. Both prove their subtype commitments through an
+//! optional [`ProofTable`] — the same table, serial or parallel — so a
+//! judgement derived for one clause is a cache hit for every other clause
+//! on any thread.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -23,7 +29,6 @@ use crate::cmatch::{CMatchFailure, CMatcher, CState, SolveOutcome};
 use crate::constraint::CheckedConstraints;
 use crate::obs::{Counter, MetricsRegistry, Timer, TraceEvent};
 use crate::par;
-use crate::shard::{ShardedProofTable, TableHandle};
 use crate::table::ProofTable;
 
 /// The fixed set `D` of predicate types (Definition 15).
@@ -193,9 +198,9 @@ pub struct Checker<'a> {
     sig: &'a Signature,
     cs: &'a CheckedConstraints,
     preds: &'a PredTypeTable,
-    /// Which proof-table backend every clause's commitment-solving step
-    /// proves through (see [`crate::table`] and [`crate::shard`]).
-    table: TableHandle<'a>,
+    /// The proof table every clause's commitment-solving step proves
+    /// through (see [`crate::table`]).
+    table: TableSource<'a>,
     /// Observability: clause/query counters, phase timers and check
     /// begin/end spans. `None` costs nothing.
     obs: Option<&'a MetricsRegistry>,
@@ -205,41 +210,42 @@ pub struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    /// Creates a checker for the given signature, checked constraints and
-    /// predicate types.
+    /// Creates an untabled checker for the given signature, checked
+    /// constraints and predicate types.
     pub fn new(sig: &'a Signature, cs: &'a CheckedConstraints, preds: &'a PredTypeTable) -> Self {
-        Self::with_handle(sig, cs, preds, TableHandle::Untabled)
+        Checker {
+            sig,
+            cs,
+            preds,
+            table: TableSource::Shared(None),
+            obs: None,
+            budget: None,
+        }
     }
 
     /// Like [`Checker::new`], but subtype judgements arising while solving
-    /// each clause's `η` commitments go through the shared [`ProofTable`], so
-    /// judgements repeated across clauses (and across whole re-checks, e.g.
-    /// by the Theorem 6 auditor) are derived once.
+    /// each clause's `η` commitments go through `table`, borrowed once per
+    /// check. For callers that hold their table in a `RefCell`; otherwise
+    /// attach it with [`Checker::with_proof_table`].
     pub fn with_table(
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
         preds: &'a PredTypeTable,
         table: &'a RefCell<ProofTable>,
     ) -> Self {
-        Self::with_handle(sig, cs, preds, TableHandle::Local(table))
+        Checker {
+            table: TableSource::Cell(table),
+            ..Self::new(sig, cs, preds)
+        }
     }
 
-    /// Like [`Checker::new`], but with an explicit proof-table backend
-    /// (possibly the thread-safe sharded table).
-    pub fn with_handle(
-        sig: &'a Signature,
-        cs: &'a CheckedConstraints,
-        preds: &'a PredTypeTable,
-        table: TableHandle<'a>,
-    ) -> Self {
-        Checker {
-            sig,
-            cs,
-            preds,
-            table,
-            obs: None,
-            budget: None,
-        }
+    /// Attaches the shared [`ProofTable`] (builder style), so judgements
+    /// repeated across clauses (and across whole re-checks, e.g. by the
+    /// Theorem 6 auditor) are derived once. `None` keeps the checker
+    /// untabled.
+    pub fn with_proof_table(mut self, table: Option<&'a ProofTable>) -> Self {
+        self.table = TableSource::Shared(table);
+        self
     }
 
     /// Attaches a metrics registry (builder style): clause/query checks are
@@ -373,6 +379,20 @@ impl<'a> Checker<'a> {
         atoms: &[&Term],
         rigid_head: bool,
     ) -> (Result<ClauseTyping, TypeCheckError>, Option<SolveOutcome>) {
+        match self.table {
+            TableSource::Shared(table) => self.solve_atoms(atoms, rigid_head, table),
+            TableSource::Cell(cell) => self.solve_atoms(atoms, rigid_head, Some(&cell.borrow())),
+        }
+    }
+
+    /// The Definition 16 check itself, proving through `table`.
+    #[allow(clippy::type_complexity)]
+    fn solve_atoms(
+        &self,
+        atoms: &[&Term],
+        rigid_head: bool,
+        table: Option<&ProofTable>,
+    ) -> (Result<ClauseTyping, TypeCheckError>, Option<SolveOutcome>) {
         // Fresh type variables must not collide with program variables.
         // Allocation-free walk: `Term::vars` would build a set per atom
         // just to fold a maximum over it.
@@ -387,7 +407,8 @@ impl<'a> Checker<'a> {
             }
         }
         let mut state = CState::new(watermark);
-        let cm = CMatcher::with_handle(self.sig, self.cs, self.table)
+        let cm = CMatcher::new(self.sig, self.cs)
+            .with_proof_table(table)
             .with_obs(self.obs)
             .with_budget(self.budget);
         let mut atom_types = Vec::with_capacity(atoms.len());
@@ -437,6 +458,15 @@ impl<'a> Checker<'a> {
     }
 }
 
+/// Where a [`Checker`] finds its proof table.
+#[derive(Debug, Clone, Copy)]
+enum TableSource<'a> {
+    /// A table shared by reference (or none: untabled).
+    Shared(Option<&'a ProofTable>),
+    /// [`Checker::with_table`]'s `RefCell`, borrowed once per check.
+    Cell(&'a RefCell<ProofTable>),
+}
+
 /// A clause-level parallel front end for [`Checker`].
 ///
 /// Definition 16 checks each clause (and each query) in isolation — no
@@ -444,8 +474,10 @@ impl<'a> Checker<'a> {
 /// parallel. `ParallelChecker` dispatches clauses across the workspace
 /// work-stealing pool ([`crate::par`] — idle workers steal queued clause
 /// chunks instead of idling behind a fixed partition); workers share one
-/// [`ShardedProofTable`] (when tabling is on), so a judgement derived for
-/// one clause is a cache hit for every other clause on any thread.
+/// [`ProofTable`] (when tabling is on), so a judgement derived for one
+/// clause is a cache hit for every other clause on any thread. At
+/// `jobs <= 1` the pool runs the clauses inline on the calling thread, so
+/// this is also the serial checking path.
 ///
 /// Results are reassembled in clause order, so the error list (and the
 /// typings) are **identical** to a serial [`Checker::check_program`] run:
@@ -459,7 +491,7 @@ pub struct ParallelChecker<'a> {
     cs: &'a CheckedConstraints,
     preds: &'a PredTypeTable,
     /// `None` = untabled workers; `Some` = all workers share this table.
-    table: Option<&'a ShardedProofTable>,
+    table: Option<&'a ProofTable>,
     jobs: usize,
     /// Observability shared by every worker's serial checker.
     obs: Option<&'a MetricsRegistry>,
@@ -488,22 +520,17 @@ impl<'a> ParallelChecker<'a> {
     }
 
     /// Like [`ParallelChecker::new`], but every worker proves through the
-    /// shared sharded table.
+    /// shared table.
     pub fn with_table(
         sig: &'a Signature,
         cs: &'a CheckedConstraints,
         preds: &'a PredTypeTable,
-        table: &'a ShardedProofTable,
+        table: &'a ProofTable,
         jobs: usize,
     ) -> Self {
         ParallelChecker {
-            sig,
-            cs,
-            preds,
             table: Some(table),
-            jobs,
-            obs: None,
-            budget: None,
+            ..Self::new(sig, cs, preds, jobs)
         }
     }
 
@@ -525,11 +552,8 @@ impl<'a> ParallelChecker<'a> {
 
     /// The per-worker serial checker.
     fn checker(&self) -> Checker<'a> {
-        let handle = match self.table {
-            Some(t) => TableHandle::Sharded(t),
-            None => TableHandle::Untabled,
-        };
-        Checker::with_handle(self.sig, self.cs, self.preds, handle)
+        Checker::new(self.sig, self.cs, self.preds)
+            .with_proof_table(self.table)
             .with_obs(self.obs)
             .with_budget(self.budget)
     }
@@ -873,7 +897,7 @@ mod tests {
         let serial_errs = serial.check_program(clauses.iter().copied()).unwrap_err();
 
         for jobs in [1usize, 4] {
-            let table = ShardedProofTable::new();
+            let table = ProofTable::new();
             let par = ParallelChecker::with_table(&m.sig, &cs, &preds, &table, jobs);
             let par_errs = par.check_program(&clauses).unwrap_err();
             assert_eq!(
@@ -904,7 +928,7 @@ mod tests {
         let serial = Checker::new(&m.sig, &cs, &preds)
             .check_program(clauses.iter().copied())
             .expect("well-typed");
-        let table = ShardedProofTable::new();
+        let table = ProofTable::new();
         let par = ParallelChecker::with_table(&m.sig, &cs, &preds, &table, 4)
             .check_program(&clauses)
             .expect("well-typed");

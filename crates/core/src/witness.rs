@@ -6,8 +6,8 @@
 //! the H_C clause chain it followed as a compact [`Witness`], and
 //! [`validate`] replays that chain step by step against the constraint
 //! theory alone — no prover, no table — so a verdict served from the memo
-//! table, the concurrent sharded store, or (in a daemon future) another process can
-//! be re-checked from first principles.
+//! table (by any thread) or, in a daemon future, another process can be
+//! re-checked from first principles.
 //!
 //! # The chain representation
 //!

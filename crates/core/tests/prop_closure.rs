@@ -4,15 +4,13 @@
 //! The [`GroundClosure`] answers ground `t1 >= t2` goals from a bitset
 //! built once per module load. Its contract: **whenever it answers at all,
 //! the answer is exactly what the untabled deterministic prover — and
-//! therefore the tabled and sharded provers, which are observationally
-//! identical to it — would have derived.** Abstaining (`None`) is always
+//! therefore the tabled front end, which is observationally identical to
+//! it — would have derived.** Abstaining (`None`) is always
 //! allowed; answering wrong never is. These tests fuzz that contract over
 //! random guarded worlds, interleave theory mutations with rebuild rounds
 //! (a stale closure is the one bug the serve-delta adoption rule must
 //! never let through), and round-trip random terms through the arena the
 //! closure stores its node set in.
-
-use std::cell::RefCell;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,10 +18,7 @@ use rand::SeedableRng;
 
 use lp_gen::{terms, worlds};
 use lp_term::{Signature, Subst, Term};
-use subtype_core::{
-    CheckedConstraints, Proof, ProofTable, Prover, ShardedProofTable, ShardedProver, TabledProver,
-    TermArena,
-};
+use subtype_core::{CheckedConstraints, Proof, ProofTable, Prover, TabledProver, TermArena};
 
 /// Draws `n` ground type terms over `world` (no variables in scope, so
 /// every draw is ground by construction).
@@ -34,23 +29,41 @@ fn ground_types(rng: &mut StdRng, world: &worlds::BuiltWorld, n: usize) -> Vec<T
 }
 
 /// One differential round: every pair of drawn ground types is judged by
-/// the untabled, tabled and sharded provers (exact [`Proof`] equality) and,
-/// whenever the closure answers, its verdict must match all three.
+/// the bare prover and by the front end untabled, over one table used
+/// serially, and over one table shared by two threads (exact [`Proof`]
+/// equality); whenever the closure answers, its verdict must match them.
 fn assert_closure_agrees(
     sig: &Signature,
     checked: &CheckedConstraints,
     pairs: &[(Term, Term)],
 ) -> Result<(), TestCaseError> {
     let plain = Prover::new(sig, checked);
-    let local = RefCell::new(ProofTable::new());
-    let tabled = TabledProver::new(sig, checked, &local);
-    let shards = ShardedProofTable::new();
-    let sharded = ShardedProver::new(sig, checked, &shards);
+    let untabled = TabledProver::new(sig, checked, None);
+    let local = ProofTable::new();
+    let tabled = TabledProver::new(sig, checked, Some(&local));
+    let shared = ProofTable::new();
+    let threaded: Vec<Vec<Proof>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let p = TabledProver::new(sig, checked, Some(&shared));
+                    pairs.iter().map(|(a, b)| p.subtype(a, b)).collect()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker"))
+            .collect()
+    });
     let closure = checked.ground_closure();
-    for (sup, sub) in pairs {
+    for (i, (sup, sub)) in pairs.iter().enumerate() {
         let reference = plain.subtype(sup, sub);
+        prop_assert_eq!(&reference, &untabled.subtype(sup, sub));
         prop_assert_eq!(&reference, &tabled.subtype(sup, sub));
-        prop_assert_eq!(&reference, &sharded.subtype(sup, sub));
+        for proofs in &threaded {
+            prop_assert_eq!(&reference, &proofs[i]);
+        }
         if let Some(decided) = closure.decide(sup, sub) {
             // A ground conclusive verdict carries no bindings, so the
             // closure's boolean is the *entire* observable proof.
@@ -76,8 +89,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// The headline differential property: over random guarded worlds and
-    /// random ground goals, every closure answer equals the untabled,
-    /// tabled and sharded provers' exact proof.
+    /// random ground goals, every closure answer equals every front end's
+    /// exact proof.
     #[test]
     fn closure_answers_match_every_prover_on_ground_goals(seed in any::<u64>()) {
         let world = worlds::random(seed % 512, worlds::RandomWorldConfig::default());

@@ -14,8 +14,6 @@
 //! the accounting identity that every tabled subtype goal performs
 //! exactly one table lookup.
 
-use std::cell::RefCell;
-
 use proptest::prelude::*;
 
 use lp_gen::programs;
@@ -23,7 +21,7 @@ use lp_parser::Module;
 use subtype_core::welltyped::ParallelChecker;
 use subtype_core::{
     Budget, Checker, ConstraintSet, Counter, MetricsRegistry, MetricsSnapshot, PredTypeTable,
-    ProofTable, ShardedProofTable,
+    ProofTable,
 };
 
 /// Parses a generated program and checks it on `jobs` workers, counting
@@ -38,7 +36,7 @@ fn check_with_jobs(src: &str, jobs: usize) -> (MetricsSnapshot, u64) {
     let preds = PredTypeTable::from_module(&module).expect("pred types valid");
     let obs = MetricsRegistry::shared();
     let budget = Budget::new(u64::MAX);
-    let table = ShardedProofTable::with_metrics(obs.clone());
+    let table = ProofTable::with_metrics(obs.clone());
     let checker = ParallelChecker::with_table(&module.sig, &checked, &preds, &table, jobs)
         .with_obs(Some(&obs))
         .with_budget(Some(&budget));
@@ -91,7 +89,7 @@ proptest! {
         prop_assert_eq!(spend_a, spend_b);
     }
 
-    /// Accounting identity: with a (serial, local) table attached, every
+    /// Accounting identity: with a table attached (used serially), every
     /// subtype goal performs exactly one lookup — hits + misses always sum
     /// to the goals posed, so the derived hit rate is well-founded.
     #[test]
@@ -104,8 +102,9 @@ proptest! {
             .expect("uniform and guarded");
         let preds = PredTypeTable::from_module(&module).expect("pred types valid");
         let obs = MetricsRegistry::shared();
-        let table = RefCell::new(ProofTable::with_metrics(obs.clone()));
-        let checker = Checker::with_table(&module.sig, &checked, &preds, &table)
+        let table = ProofTable::with_metrics(obs.clone());
+        let checker = Checker::new(&module.sig, &checked, &preds)
+            .with_proof_table(Some(&table))
             .with_obs(Some(&obs));
         checker
             .check_program(module.clauses.iter().map(|c| &c.clause))

@@ -1,17 +1,18 @@
 //! Fault-tolerance properties of the serve daemon: a session subjected to
 //! injected panics, shedding, forced budget exhaustion and forced
-//! deadlines answers every request (the process never dies, no shard
+//! deadlines answers every request (the process never dies, the table never
 //! wedges) and, once the client retries past the faults, produces check
 //! verdicts byte-identical to a fresh serial session over the same
-//! program. A fixed golden fault session is also replayed under
-//! `--jobs 1` and `--jobs 4` and must produce byte-identical response
-//! streams.
+//! program — and to an untabled check of it. A fixed golden fault session
+//! is also replayed under `--jobs 1` and `--jobs 4` and must produce
+//! byte-identical response streams.
 
 use proptest::prelude::*;
 
 use subtype_core::obs::json::JsonValue;
 use subtype_core::obs::FaultPlan;
 use subtype_core::serve::{ServeConfig, ServeSession};
+use subtype_core::{ConstraintSet, ParallelChecker, PredTypeTable};
 
 /// Polymorphic append (the paper's running example): checking it commits
 /// rigid subtype goals, so the warm proof table actually fills up.
@@ -60,6 +61,39 @@ fn modulo_seq(resp: &str) -> String {
     JsonValue::Obj(fields.into_iter().filter(|(k, _)| k != "seq").collect()).render()
 }
 
+/// The `verdicts` array of a check response, one error message (or `None`)
+/// per clause then per query.
+fn verdicts(resp: &str) -> Vec<Option<String>> {
+    let parsed = JsonValue::parse(resp).expect("valid JSON");
+    let Some(JsonValue::Arr(items)) = parsed.get("verdicts") else {
+        panic!("a check response carries verdicts: {resp}");
+    };
+    items
+        .iter()
+        .map(|v| v.get("error").and_then(|e| e.as_str()).map(str::to_owned))
+        .collect()
+}
+
+/// The same verdicts from an untabled check of `src` outside any session.
+fn untabled_verdicts(src: &str) -> Vec<Option<String>> {
+    let module = lp_parser::parse_module(src).expect("generated program parses");
+    let checked = ConstraintSet::from_module(&module)
+        .and_then(|cs| cs.checked(&module.sig))
+        .expect("valid declarations");
+    let preds = PredTypeTable::from_module(&module).expect("pred types valid");
+    let checker = ParallelChecker::new(&module.sig, &checked, &preds, 1);
+    let clauses: Vec<_> = module.clauses.iter().map(|c| &c.clause).collect();
+    let queries: Vec<&[lp_term::Term]> = module.queries.iter().map(|q| &q.goals[..]).collect();
+    let mut out = vec![None; clauses.len() + queries.len()];
+    for (i, e) in checker.check_program(&clauses).err().unwrap_or_default() {
+        out[i] = Some(e.to_string());
+    }
+    for (i, e) in checker.check_queries(&queries).err().unwrap_or_default() {
+        out[clauses.len() + i] = Some(e.to_string());
+    }
+    out
+}
+
 /// Runs `body` with the default panic hook silenced (injected panics are
 /// contained by the session; their backtraces would only pollute test
 /// output), restoring it afterwards.
@@ -74,10 +108,11 @@ fn with_quiet_panics<T>(body: impl FnOnce() -> T) -> T {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The differential property from the issue: for generated programs,
-    /// a parallel session hit by every fault kind still converges — after
-    /// client retries — to the same check response a fresh serial session
-    /// produces.
+    /// The differential property: for generated programs, a session whose
+    /// table is shared by `jobs` workers and hit by every fault kind still
+    /// converges — after client retries — to the same check response a
+    /// fresh serial session produces, and to the verdicts of an untabled
+    /// check.
     #[test]
     fn faulted_session_after_retries_matches_fresh_serial_check(
         n in 1usize..6,
@@ -123,6 +158,7 @@ proptest! {
         prop_assert_eq!(status(&fresh.handle_line(&load_line(&src))), "ok");
         let fresh_check = fresh.handle_line(r#"{"op":"check"}"#);
         prop_assert_eq!(modulo_seq(&faulted), modulo_seq(&fresh_check));
+        prop_assert_eq!(verdicts(&fresh_check), untabled_verdicts(&src));
     }
 }
 
@@ -163,7 +199,7 @@ fn golden_fault_session_is_identical_under_one_and_four_jobs() {
     let requests: Vec<String> = vec![
         load_line(APP),                    // 1: ok
         r#"{"op":"check","id":1}"#.into(), // 2: ok (warms the table)
-        r#"{"op":"check","id":2}"#.into(), // 3: panic (poisons a shard)
+        r#"{"op":"check","id":2}"#.into(), // 3: panic (poisons the table)
         r#"{"op":"check","id":2}"#.into(), // 4: shed
         r#"{"op":"check","id":2}"#.into(), // 5: ok (retry recovers)
         r#"{"op":"check","id":3}"#.into(), // 6: budget (forced)

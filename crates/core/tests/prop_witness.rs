@@ -6,8 +6,9 @@
 //!
 //! 1. **Checkability** — every emitted witness replays through
 //!    [`witness::validate_in`] without touching the prover or the table.
-//! 2. **Backend agreement** — untabled, tabled, and sharded provers return
-//!    the same witnessed verdict for the same conjunction.
+//! 2. **Backend agreement** — the untabled front end, one table used
+//!    serially, and one table shared by several threads return the same
+//!    witnessed verdict for the same conjunction.
 //! 3. **Determinism** — re-running a query from scratch reproduces the
 //!    exact same witness, byte for byte (steps *and* answer).
 //!
@@ -19,7 +20,6 @@
 //! types come from the deterministic `lp-gen` generators, so every failure
 //! is reproducible from the seed alone.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
@@ -29,10 +29,7 @@ use rand::SeedableRng;
 use lp_gen::{terms, worlds};
 use lp_term::{Signature, SymKind, Term, Var};
 use subtype_core::witness::{self, Witness, Witnessed};
-use subtype_core::{
-    ConstraintSet, Proof, ProofTable, Prover, ProverConfig, ShardedProofTable, ShardedProver,
-    TabledProver,
-};
+use subtype_core::{ConstraintSet, Proof, ProofTable, Prover, ProverConfig, TabledProver};
 
 /// Same small search budget as `prop_table.rs`: random refutable goals
 /// exhaust whatever budget they get, and all the provers under test run the
@@ -62,9 +59,9 @@ fn goal_pairs(
     (goals, vars)
 }
 
-/// The untabled reference: a traced derivation folded into a [`Witnessed`],
-/// shrinking refutations by live re-proving (what `TableHandle::Untabled`
-/// does, minus the instrumentation, plus an explicit budget).
+/// The reference: a traced derivation folded into a [`Witnessed`],
+/// shrinking refutations by live re-proving — written against the bare
+/// [`Prover`], independently of the front end under test.
 fn untabled_witnessed(
     world: &worlds::BuiltWorld,
     goals: &[(Term, Term)],
@@ -114,10 +111,11 @@ fn check_against_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// The headline property: over random guarded worlds, all three
-    /// backends agree on the witnessed verdict — and every `Proved`
-    /// witness (fresh or cached) replays through `validate_in`, which
-    /// never consults the prover or the table.
+    /// The headline property: over random guarded worlds, the untabled
+    /// front end, one table used serially and one table shared by three
+    /// threads all agree on the witnessed verdict — and every `Proved`
+    /// witness (fresh or cached) replays through `validate_in`, which never
+    /// consults the prover or the table.
     #[test]
     fn witnessed_verdicts_agree_and_validate_across_backends(seed in any::<u64>()) {
         let world = worlds::random(seed % 512, worlds::RandomWorldConfig::default());
@@ -125,23 +123,28 @@ proptest! {
         let (goals, vars) = goal_pairs(&mut rng, &world, 3);
         let watermark = vars[1].0 + 1;
         let rigid: BTreeSet<Var> = [vars[1]].into_iter().collect();
+        let witnessed = |table: Option<&ProofTable>| {
+            TabledProver::with_config(&world.sig, &world.checked, CONFIG, table)
+                .subtype_all_rigid_witnessed(&goals, &rigid, watermark)
+        };
 
         let reference = untabled_witnessed(&world, &goals, &rigid, watermark);
-        check_against_reference(&world, &reference, &reference, "untabled")?;
+        check_against_reference(&world, &reference, &witnessed(None), "untabled")?;
 
-        let local = RefCell::new(ProofTable::new());
-        let tabled = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &local);
-        let miss = tabled.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
-        check_against_reference(&world, &reference, &miss, "tabled (miss)")?;
-        let hit = tabled.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
-        check_against_reference(&world, &reference, &hit, "tabled (hit)")?;
+        let table = ProofTable::new();
+        check_against_reference(&world, &reference, &witnessed(Some(&table)), "tabled (miss)")?;
+        check_against_reference(&world, &reference, &witnessed(Some(&table)), "tabled (hit)")?;
 
-        let shared = ShardedProofTable::new();
-        let sharded = ShardedProver::with_config(&world.sig, &world.checked, CONFIG, &shared);
-        let miss = sharded.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
-        check_against_reference(&world, &reference, &miss, "sharded (miss)")?;
-        let hit = sharded.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
-        check_against_reference(&world, &reference, &hit, "sharded (hit)")?;
+        let shared = ProofTable::new();
+        let threaded: Vec<Witnessed> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| witnessed(Some(&shared))))
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker")).collect()
+        });
+        for got in &threaded {
+            check_against_reference(&world, &reference, got, "shared by threads")?;
+        }
     }
 
     /// Witness emission is deterministic: rebuilding the world and provers
@@ -154,8 +157,8 @@ proptest! {
             let (goals, vars) = goal_pairs(&mut rng, &world, 3);
             let watermark = vars[1].0 + 1;
             let rigid: BTreeSet<Var> = [vars[1]].into_iter().collect();
-            let local = RefCell::new(ProofTable::new());
-            let tabled = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &local);
+            let local = ProofTable::new();
+            let tabled = TabledProver::with_config(&world.sig, &world.checked, CONFIG, Some(&local));
             tabled.subtype_all_rigid_witnessed(&goals, &rigid, watermark)
         };
         prop_assert_eq!(run(), run());
@@ -173,24 +176,31 @@ proptest! {
         let watermark = vars[1].0 + 1;
         let rigid: BTreeSet<Var> = [vars[1]].into_iter().collect();
 
-        let local = RefCell::new(ProofTable::new());
-        let tabled = TabledProver::with_config(&world.sig, &world.checked, CONFIG, &local);
-        let shared = ShardedProofTable::new();
-        let sharded = ShardedProver::with_config(&world.sig, &world.checked, CONFIG, &shared);
-        // One conjunction query plus each pair on its own, against both tables.
-        tabled.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
-        sharded.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
-        for (sup, sub) in &goals {
-            let single = [(sup.clone(), sub.clone())];
-            tabled.subtype_all_rigid_witnessed(&single, &rigid, watermark);
-            sharded.subtype_all_rigid_witnessed(&single, &rigid, watermark);
-        }
+        // One table used serially, one shared by three threads that each
+        // run the whole query mix.
+        let run = |table: &ProofTable| {
+            let tabled = TabledProver::with_config(&world.sig, &world.checked, CONFIG, Some(table));
+            // One conjunction query plus each pair on its own.
+            tabled.subtype_all_rigid_witnessed(&goals, &rigid, watermark);
+            for (sup, sub) in &goals {
+                let single = [(sup.clone(), sub.clone())];
+                tabled.subtype_all_rigid_witnessed(&single, &rigid, watermark);
+            }
+        };
+        let local = ProofTable::new();
+        run(&local);
+        let shared = ProofTable::new();
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| run(&shared));
+            }
+        });
 
         let cs = world.checked.as_set().constraints();
-        let (validated, invalid) = local.borrow().validate_witnesses(&world.sig, cs);
-        prop_assert_eq!(invalid, 0, "local table holds an unreplayable witness");
+        let (validated, invalid) = local.validate_witnesses(&world.sig, cs);
+        prop_assert_eq!(invalid, 0, "serial table holds an unreplayable witness");
         let (sh_validated, sh_invalid) = shared.validate_witnesses(&world.sig, cs);
-        prop_assert_eq!(sh_invalid, 0, "sharded table holds an unreplayable witness");
+        prop_assert_eq!(sh_invalid, 0, "shared table holds an unreplayable witness");
         prop_assert_eq!(validated, sh_validated);
     }
 }
@@ -227,18 +237,16 @@ fn witnesses_survive_generation_invalidation() {
     let (sig, cs) = chain_world();
     let before = cs.clone().checked(&sig).unwrap();
 
-    let table = RefCell::new(ProofTable::new());
+    let table = ProofTable::new();
     let b = Term::constant(sig.lookup("b").unwrap());
     let z = Term::constant(sig.lookup("z").unwrap());
     let d = sig.lookup("d").unwrap();
     let d_z = Term::app(d, vec![z.clone()]);
     let d_b = Term::app(d, vec![b.clone()]);
 
-    let tabled = TabledProver::new(&sig, &before, &table);
+    let tabled = TabledProver::new(&sig, &before, Some(&table));
     assert!(tabled.subtype(&d_z, &z).is_proved());
-    let (validated, invalid) = table
-        .borrow()
-        .validate_witnesses(&sig, before.as_set().constraints());
+    let (validated, invalid) = table.validate_witnesses(&sig, before.as_set().constraints());
     assert_eq!((validated, invalid), (1, 0));
 
     // Mutate the theory: a new constraint shifts the index space, so a
@@ -250,12 +258,10 @@ fn witnesses_survive_generation_invalidation() {
     cs2.add(&sig, Term::constant(c), b.clone()).unwrap();
     let after = cs2.checked(&sig).unwrap();
 
-    let tabled = TabledProver::new(&sig, &after, &table);
+    let tabled = TabledProver::new(&sig, &after, Some(&table));
     assert!(tabled.subtype(&d_b, &z).is_proved());
     assert!(tabled.subtype(&d_z, &z).is_proved());
-    let (validated, invalid) = table
-        .borrow()
-        .validate_witnesses(&sig, after.as_set().constraints());
+    let (validated, invalid) = table.validate_witnesses(&sig, after.as_set().constraints());
     assert_eq!(invalid, 0, "a stale-generation witness survived the switch");
     assert_eq!(validated, 2, "both repopulated entries replay");
 }
@@ -272,8 +278,8 @@ fn witnesses_survive_fifo_eviction() {
     let z = Term::constant(sig.lookup("z").unwrap());
     let d = sig.lookup("d").unwrap();
 
-    let table = RefCell::new(ProofTable::with_capacity(2));
-    let tabled = TabledProver::new(&sig, &checked, &table);
+    let table = ProofTable::with_capacity(2);
+    let tabled = TabledProver::new(&sig, &checked, Some(&table));
     // Distinct goals, all outside the ground closure (`d(..)` supertypes
     // are not nullary-reachable), so each one churns the table.
     let pool = [
@@ -289,14 +295,12 @@ fn witnesses_survive_fifo_eviction() {
             proofs += 1;
         }
     }
-    let stats = table.borrow().stats();
+    let stats = table.stats();
     assert!(
         stats.evictions > 0,
         "expected FIFO churn across {proofs} queries in a 2-entry table"
     );
-    let (validated, invalid) = table
-        .borrow()
-        .validate_witnesses(&sig, checked.as_set().constraints());
+    let (validated, invalid) = table.validate_witnesses(&sig, checked.as_set().constraints());
     assert_eq!(invalid, 0, "an evicted neighbour corrupted a survivor");
     assert!(validated >= 1, "at least one Proved entry must survive");
     assert!(validated <= 2, "capacity bounds the surviving entries");

@@ -39,7 +39,7 @@
 //! threads (default: one per core). Output is collected per file and
 //! emitted in input order, so a parallel run is byte-identical to the
 //! serial one. With a single file, `check` parallelizes across *clauses*
-//! instead, its workers sharing one lock-free seqlocked proof table.
+//! instead, its workers sharing the program's one proof table.
 //!
 //! Stream discipline: results (well-typed summaries, lint findings, JSON)
 //! go to **stdout**; every error — usage mistakes, unreadable files, parse
@@ -68,14 +68,12 @@ use subtype_lp::core::lint::{
 };
 use subtype_lp::core::{
     match_type, mode_string, par, ConstraintSet, Counter, FaultPlan, MatchOutcome, MetricsRegistry,
-    ModeAnalysis, NaiveProver, ProofTable, Prover, ServeConfig, ServeSession, ShardedProofTable,
-    TabledProver, Timer,
+    ModeAnalysis, NaiveProver, ProofTable, Prover, ServeConfig, ServeSession, TabledProver, Timer,
 };
 use subtype_lp::parser::{parse_module, Module};
 use subtype_lp::term::TermDisplay;
 use subtype_lp::TypedProgram;
 
-use std::cell::RefCell;
 use std::io::Write as _;
 use std::sync::Arc;
 
@@ -380,8 +378,8 @@ fn dispatch(
             let files = expand_files(require_files(parsed)?)?;
             let jobs = jobs_of(parsed)?;
             // Files are the unit of parallelism for a batch; a single file
-            // parallelizes across its clauses instead (sharing one sharded
-            // proof table between the workers).
+            // parallelizes across its clauses instead (sharing the
+            // program's proof table between the workers).
             let (file_jobs, clause_jobs) = if files.len() > 1 {
                 (jobs, 1)
             } else {
@@ -531,7 +529,7 @@ fn check_file(
         Ok(p) => p.with_tabling(!no_table),
         Err(e) => return error_report(&program_diagnostics(&module, &e), &src, file),
     };
-    let diags = check_program_diags(&program, clause_jobs, no_table, verify_witnesses);
+    let diags = check_program_diags(&program, clause_jobs, verify_witnesses);
     if !diags.is_empty() {
         return error_report(&diags, &src, file);
     }
@@ -692,69 +690,42 @@ fn program_diagnostics(module: &Module, e: &subtype_lp::Error) -> Vec<Diagnostic
 }
 
 /// Diagnostics for every ill-typed clause and query, or empty when the
-/// program is well-typed. With `clause_jobs > 1` the clauses (and queries)
-/// are checked across the worker pool, sharing one sharded proof table;
-/// the diagnostics come back in clause order either way, so the rendered
-/// output is byte-identical to the serial run.
+/// program is well-typed. The clauses (and queries) are checked across
+/// `clause_jobs` workers — inline at one — all proving through the
+/// program's proof table (unless its tabling is off); the diagnostics come back in clause order either
+/// way, so the rendered output is byte-identical at every job count.
 ///
-/// With `verify_witnesses`, whichever proof table the check populated is
-/// audited afterwards: every cached `Proved` entry is replayed through
-/// `witness::validate_in`, and any replay failure becomes an `E0301`
-/// diagnostic. A clean audit adds nothing, so stdout stays byte-identical
-/// across `--jobs` counts.
+/// With `verify_witnesses`, the proof table is audited afterwards: every
+/// cached `Proved` entry is replayed through `witness::validate_in`, and
+/// any replay failure becomes an `E0301` diagnostic. A clean audit adds
+/// nothing, so stdout stays byte-identical across `--jobs` counts.
 fn check_program_diags(
     program: &TypedProgram,
     clause_jobs: usize,
-    no_table: bool,
     verify_witnesses: bool,
 ) -> Vec<Diagnostic> {
     let module = program.module();
     let mut diags = Vec::new();
-    // The sharded table counts into the program's registry, so serial
-    // and clause-parallel runs report through the same document.
-    let shared =
-        (clause_jobs > 1).then(|| ShardedProofTable::with_metrics(program.metrics().clone()));
-    if let Some(shared) = &shared {
-        let table = (!no_table).then_some(shared);
-        if let Err(subtype_lp::Error::Check(errs)) =
-            program.check_clauses_parallel(table, clause_jobs)
-        {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| clause_check_diagnostic(module, *i, e)),
-            );
-        }
-        if let Err(subtype_lp::Error::Check(errs)) =
-            program.check_queries_parallel(table, clause_jobs)
-        {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| query_check_diagnostic(module, *i, e)),
-            );
-        }
-    } else {
-        if let Err(subtype_lp::Error::Check(errs)) = program.check_clauses() {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| clause_check_diagnostic(module, *i, e)),
-            );
-        }
-        if let Err(subtype_lp::Error::Check(errs)) = program.check_queries() {
-            diags.extend(
-                errs.iter()
-                    .map(|(i, e)| query_check_diagnostic(module, *i, e)),
-            );
-        }
+    let table = program.tabling().then(|| program.proof_table());
+    if let Err(subtype_lp::Error::Check(errs)) = program.check_clauses_parallel(table, clause_jobs)
+    {
+        diags.extend(
+            errs.iter()
+                .map(|(i, e)| clause_check_diagnostic(module, *i, e)),
+        );
+    }
+    if let Err(subtype_lp::Error::Check(errs)) = program.check_queries_parallel(table, clause_jobs)
+    {
+        diags.extend(
+            errs.iter()
+                .map(|(i, e)| query_check_diagnostic(module, *i, e)),
+        );
     }
     if verify_witnesses {
         let constraints = program.constraints().as_set().constraints();
-        let (validated, invalid) = match &shared {
-            Some(t) => t.validate_witnesses(&module.sig, constraints),
-            None => program
-                .proof_table()
-                .borrow()
-                .validate_witnesses(&module.sig, constraints),
-        };
+        let (validated, invalid) = program
+            .proof_table()
+            .validate_witnesses(&module.sig, constraints);
         if invalid > 0 {
             diags.push(
                 Diagnostic::error(
@@ -794,10 +765,11 @@ fn execute(
     auditing: bool,
 ) -> Result<ExitCode, String> {
     // `audit --jobs N` parallelizes the pre-execution type check across
-    // clauses (sharing a sharded proof table); the audit itself is serial
-    // and its output byte-identical at every job count.
+    // clauses (through the program's proof table, which the audit then
+    // reuses); the audit itself is serial and its output byte-identical at
+    // every job count.
     let jobs = if auditing { jobs_of(parsed)? } else { 1 };
-    let diags = check_program_diags(program, jobs, !program.tabling(), false);
+    let diags = check_program_diags(program, jobs, false);
     if !diags.is_empty() {
         return Ok(report_errors(&diags, src, file));
     }
@@ -1059,9 +1031,9 @@ fn subtype(program: TypedProgram, parsed: &ParsedArgs) -> Result<(), String> {
         return Ok(());
     }
     let checked = cs.checked(&module.sig).map_err(|e| e.to_string())?;
-    let table = RefCell::new(ProofTable::with_metrics(obs));
+    let table = ProofTable::with_metrics(obs);
     let proof = if tabled {
-        TabledProver::new(&module.sig, &checked, &table).subtype(&sup, &sub)
+        TabledProver::new(&module.sig, &checked, Some(&table)).subtype(&sup, &sub)
     } else {
         Prover::new(&module.sig, &checked).subtype(&sup, &sub)
     };

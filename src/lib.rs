@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -76,8 +75,8 @@ use subtype_core::welltyped::ClauseTyping;
 use subtype_core::TraceEvent;
 use subtype_core::{
     CheckedConstraints, Checker, ConstraintSet, Counter, MetricsRegistry, MetricsSnapshot,
-    ParallelChecker, PredTypeTable, ProofTable, Prover, ShardedProofTable, TableStats,
-    TabledProver, Timer, TypeCheckError, TypeDeclError,
+    ParallelChecker, PredTypeTable, ProofTable, Prover, TableStats, TabledProver, Timer,
+    TypeCheckError, TypeDeclError,
 };
 
 /// Any error surfaced by the high-level API.
@@ -134,7 +133,7 @@ pub struct TypedProgram {
     module: Module,
     constraints: CheckedConstraints,
     pred_types: PredTypeTable,
-    table: RefCell<ProofTable>,
+    table: ProofTable,
     /// The registry the shared [`ProofTable`] counts into; also receives
     /// checker, engine and audit accounting from this program's methods.
     obs: Arc<MetricsRegistry>,
@@ -147,7 +146,7 @@ impl Clone for TypedProgram {
         // clone accounts independently; keep `obs` pointing at that same
         // fresh registry rather than the original's.
         let table = self.table.clone();
-        let obs = table.borrow().metrics().clone();
+        let obs = table.metrics().clone();
         TypedProgram {
             module: self.module.clone(),
             constraints: self.constraints.clone(),
@@ -182,8 +181,8 @@ impl TypedProgram {
     }
 
     /// [`TypedProgram::from_module`], counting into a caller-supplied
-    /// registry (shared, for instance, with a [`ShardedProofTable`] or with
-    /// other programs in the same batch).
+    /// registry (shared, for instance, with other programs in the same
+    /// batch).
     ///
     /// # Errors
     ///
@@ -200,7 +199,7 @@ impl TypedProgram {
             module,
             constraints,
             pred_types,
-            table: RefCell::new(ProofTable::with_metrics(obs.clone())),
+            table: ProofTable::with_metrics(obs.clone()),
             obs,
             tabling: true,
         })
@@ -236,13 +235,13 @@ impl TypedProgram {
     }
 
     /// The shared proof table (populated lazily by checking and proving).
-    pub fn proof_table(&self) -> &RefCell<ProofTable> {
+    pub fn proof_table(&self) -> &ProofTable {
         &self.table
     }
 
     /// Lifetime hit/miss/insert/evict counters of the shared proof table.
     pub fn table_stats(&self) -> TableStats {
-        self.table.borrow().stats()
+        self.table.stats()
     }
 
     /// The underlying module (signature, clauses, queries, hints).
@@ -263,17 +262,9 @@ impl TypedProgram {
     /// A well-typedness checker borrowing this program (tabled unless
     /// disabled via [`TypedProgram::set_tabling`]).
     pub fn checker(&self) -> Checker<'_> {
-        let checker = if self.tabling {
-            Checker::with_table(
-                &self.module.sig,
-                &self.constraints,
-                &self.pred_types,
-                &self.table,
-            )
-        } else {
-            Checker::new(&self.module.sig, &self.constraints, &self.pred_types)
-        };
-        checker.with_obs(Some(&self.obs))
+        Checker::new(&self.module.sig, &self.constraints, &self.pred_types)
+            .with_proof_table(self.tabling.then_some(&self.table))
+            .with_obs(Some(&self.obs))
     }
 
     /// A deterministic subtype prover borrowing this program.
@@ -285,7 +276,7 @@ impl TypedProgram {
     /// (regardless of the [`TypedProgram::tabling`] toggle, which only
     /// governs the provers created implicitly by [`TypedProgram::checker`]).
     pub fn tabled_prover(&self) -> TabledProver<'_> {
-        TabledProver::new(&self.module.sig, &self.constraints, &self.table)
+        TabledProver::new(&self.module.sig, &self.constraints, Some(&self.table))
     }
 
     /// Checks every program clause (Definition 16).
@@ -335,15 +326,15 @@ impl TypedProgram {
     }
 
     /// A clause-level parallel checker over `jobs` workers (0 = one per
-    /// core) sharing `table` when tabling is wanted.
+    /// core; 1 checks inline on the calling thread) proving through `table`,
+    /// or untabled with `None`.
     ///
-    /// This deliberately takes the sharded table by reference instead of
-    /// using the program's own single-threaded [`ProofTable`]: the
-    /// `RefCell`-wrapped table cannot cross threads, and keeping the two
-    /// backends separate means serial callers pay no locking.
+    /// The table is an argument rather than always the program's own, so a
+    /// caller can share one table across several programs or check without
+    /// one; pass [`Self::proof_table`] to reuse this program's cache.
     pub fn parallel_checker<'a>(
         &'a self,
-        table: Option<&'a ShardedProofTable>,
+        table: Option<&'a ProofTable>,
         jobs: usize,
     ) -> ParallelChecker<'a> {
         let checker = match table {
@@ -370,7 +361,7 @@ impl TypedProgram {
     /// [`Error::Check`] with one entry per ill-typed clause, ascending.
     pub fn check_clauses_parallel(
         &self,
-        table: Option<&ShardedProofTable>,
+        table: Option<&ProofTable>,
         jobs: usize,
     ) -> Result<Vec<ClauseTyping>, Error> {
         let clauses: Vec<_> = self.module.clauses.iter().map(|c| &c.clause).collect();
@@ -387,7 +378,7 @@ impl TypedProgram {
     /// [`Error::Check`] with one entry per ill-typed query, ascending.
     pub fn check_queries_parallel(
         &self,
-        table: Option<&ShardedProofTable>,
+        table: Option<&ProofTable>,
         jobs: usize,
     ) -> Result<Vec<ClauseTyping>, Error> {
         let queries: Vec<&[Term]> = self

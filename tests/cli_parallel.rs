@@ -110,3 +110,51 @@ proptest! {
         }
     }
 }
+
+/// `slp check --verify-witnesses --stats` on one file is jobs-invariant
+/// down to the proof table: every job count checks through the program's
+/// one table, so the verdicts it caches — and the witnesses the audit
+/// replays — do not depend on how many workers shared it.
+#[test]
+fn check_with_witness_audit_is_jobs_invariant_on_nrev() {
+    use subtype_lp::core::obs::json::JsonValue;
+
+    let files = write_batch("nrev24", &[programs::nrev(24)]);
+    let run = |jobs: &str| {
+        let (code, stdout, stderr) = slp(&[
+            "check",
+            &files[0],
+            "--verify-witnesses",
+            "--stats",
+            "--format",
+            "json",
+            "--jobs",
+            jobs,
+        ]);
+        assert_eq!(code, 0, "stderr: {stderr}");
+        let doc = JsonValue::parse(stderr.trim_end()).expect("one metrics document");
+        let counters = doc.get("counters").expect("counters object");
+        let counter = |name: &str| {
+            counters
+                .get(name)
+                .and_then(JsonValue::as_u64)
+                .unwrap_or_else(|| panic!("counter {name}"))
+        };
+        let tallies = [
+            counter("subtype_goals"),
+            counter("table_inserts"),
+            counter("witness_validated"),
+        ];
+        (stdout, tallies)
+    };
+    let (serial_out, serial) = run("1");
+    assert!(serial[1] > 0, "nrev(24) caches a verdict: {serial:?}");
+    for jobs in ["2", "8"] {
+        let (out, tallies) = run(jobs);
+        assert_eq!(out, serial_out, "stdout diverged at --jobs {jobs}");
+        assert_eq!(
+            tallies, serial,
+            "subtype_goals / table_inserts / witness_validated at --jobs {jobs}"
+        );
+    }
+}
