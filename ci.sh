@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, format, lint, goldens, perf smoke, concurrency.
+# Tier-1 gate: build, test, format, lint, goldens, perf smoke, experiment
+# report, concurrency.
 # Run from the repo root.
 #
 #   ci.sh           full gate (release build, all checks, perf smoke)
@@ -238,6 +239,21 @@ step serve-replay serve_replay
 # never wall time — the gate is load-independent). Re-bless intentional
 # changes with scripts/bless.sh.
 step perf-smoke target/release/report --smoke --baseline BENCH_5.json
+
+# The experiment report (F1–F7 and the ablations) runs end to end: every
+# series asserts its verdicts while it measures, so a wrong verdict fails
+# here. Its wall times are printed, never compared.
+report_run() {
+  local section
+  target/release/report > "$tmp/report.txt"
+  for section in F1 F2 F3 F4 F5 F6 F7 Ablations; do
+    if ! grep -q "^## $section " "$tmp/report.txt"; then
+      echo "ci: report has no \`## $section\` section" >&2
+      return 1
+    fi
+  done
+}
+step report-run report_run
 
 # The ground-closure short-circuit has its own golden: the workload is
 # compared against the committed baseline in isolation, so a regression

@@ -1,6 +1,7 @@
 //! Prints the full experiment report (the series recorded in
-//! EXPERIMENTS.md) in one pass: wall-clock timings plus search-effort
-//! counters that Criterion cannot show.
+//! EXPERIMENTS.md: F1–F7 and the ablations) in one pass: wall-clock
+//! timings plus search-effort counters. This is the repository's only
+//! wall-time harness; every series asserts its expected verdicts as it runs.
 //!
 //! Run with: `cargo run --release -p bench --bin report`
 //!
@@ -8,20 +9,24 @@
 //!
 //! * `report --bench5 [--out FILE]` — run the deterministic BENCH_5
 //!   workloads and write the versioned counter document (stdout default).
-//! * `report --smoke [--baseline FILE] [--tolerance F]` — re-measure and
-//!   compare against the committed baseline (default `BENCH_5.json`,
-//!   exact match); exits 1 with a per-counter diff on drift. Wall time is
-//!   never compared, so the gate is load-independent.
+//! * `report --smoke [--baseline FILE] [--tolerance F] [--only WORKLOAD]` —
+//!   re-measure and compare against the committed baseline (default
+//!   `BENCH_5.json`, exact match); exits 1 with a per-counter diff on
+//!   drift. Wall time is never compared, so the gate is load-independent.
+//!
+//! A flag without its value, a repeated flag, or an argument the mode does
+//! not know exits 2 with the usage line.
 
 use std::time::{Duration, Instant};
 
 use lp_baseline::{FuncSigTable, Mo84Checker};
 use lp_engine::{Query, SolveConfig};
 use lp_gen::{programs, worlds};
-use lp_term::Term;
+use lp_term::{Term, Var};
 use subtype_core::consistency::{AuditConfig, Auditor};
 use subtype_core::{
-    analysis, Checker, DependenceGraph, HornTheory, NaiveProver, ProofTable, Prover, TabledProver,
+    analysis, Checker, DependenceGraph, HornTheory, NaiveProver, ProofTable, Prover, ProverConfig,
+    TabledProver,
 };
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
@@ -38,18 +43,21 @@ fn time_n<R>(n: usize, mut f: impl FnMut() -> R) -> Duration {
     t0.elapsed() / n as u32
 }
 
+const USAGE: &str = "usage: report [--bench5 [--out FILE]] \
+                     [--smoke [--baseline FILE] [--tolerance F] [--only WORKLOAD]]";
+
+/// Prints `msg` and the usage line, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("report: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--bench5") => bench5_mode(&args),
         Some("--smoke") => smoke_mode(&args),
-        Some(other) => {
-            eprintln!(
-                "report: unknown flag `{other}`\nusage: report [--bench5 [--out FILE]] \
-                 [--smoke [--baseline FILE] [--tolerance F]]"
-            );
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!("unknown flag `{other}`")),
         None => {
             println!("# subtype-lp experiment report\n");
             f1();
@@ -59,6 +67,27 @@ fn main() {
             f5();
             f6();
             f7();
+            ablation();
+        }
+    }
+}
+
+/// Checks that everything after the mode flag `args[0]` is a `FLAG VALUE`
+/// pair with `FLAG` in `known`, each flag at most once. Anything else exits
+/// 2 with the usage line.
+fn check_flags(args: &[String], known: &[&str]) {
+    let mut seen = Vec::new();
+    let mut rest = args[1..].iter();
+    while let Some(flag) = rest.next() {
+        if !known.contains(&flag.as_str()) {
+            usage_error(&format!("unknown argument `{flag}` after `{}`", args[0]));
+        }
+        if seen.contains(&flag) {
+            usage_error(&format!("`{flag}` given twice"));
+        }
+        seen.push(flag);
+        if rest.next().is_none_or(|v| v.starts_with("--")) {
+            usage_error(&format!("`{flag}` expects a value"));
         }
     }
 }
@@ -73,6 +102,7 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 /// `report --bench5 [--out FILE]`: measure and emit the BENCH_5 document.
 fn bench5_mode(args: &[String]) {
+    check_flags(args, &["--out"]);
     let doc = bench::bench5::document().render();
     match flag_value(args, "--out") {
         Some(path) => {
@@ -121,6 +151,7 @@ fn filter_workloads(
 /// `report --smoke [--baseline FILE] [--tolerance F] [--only WORKLOAD]`:
 /// the CI perf gate. `--only` measures (and compares) a single workload.
 fn smoke_mode(args: &[String]) {
+    check_flags(args, &["--baseline", "--tolerance", "--only"]);
     let path = flag_value(args, "--baseline").unwrap_or("BENCH_5.json");
     let tolerance: f64 = match flag_value(args, "--tolerance") {
         None => 0.0,
@@ -241,6 +272,49 @@ fn f2() {
         });
         println!("{n:13} | {d:?}");
     }
+
+    // A union of k variants for one constructor, matched against a term
+    // using the last variant, so match tries every expansion branch.
+    println!("\nconstraints k on t | match(t, g<k-1>(base))");
+    println!("-------------------|-----------------------");
+    for &k in &[2usize, 8, 32] {
+        let funcs: String = (0..k).map(|i| format!("g{i}, ")).collect();
+        let ctors: String = (0..k).map(|i| format!("t >= g{i}(t).\n")).collect();
+        let w = bench::workload(&format!("FUNC {funcs}base.\nTYPE t.\n{ctors}t >= base.\n"));
+        let sig = &w.module.sig;
+        let g_last = sig.lookup(&format!("g{}", k - 1)).unwrap();
+        let term = Term::app(g_last, vec![Term::constant(sig.lookup("base").unwrap())]);
+        let ty = Term::constant(sig.lookup("t").unwrap());
+        let d = time_n(200, || {
+            assert!(subtype_core::match_type(sig, &w.checked, &ty, &term)
+                .typing()
+                .is_some());
+        });
+        println!("{k:18} | {d:?}");
+    }
+
+    // list(list(…list(int)…)) against an equally nested ground list: each
+    // level wraps both the type and a two-element int list in one more layer.
+    let nil = w.module.sig.lookup("nil").unwrap();
+    let cons = w.module.sig.lookup("cons").unwrap();
+    println!("\nnesting depth d | match(list^(d+1)(int), nested [x1, x2])");
+    println!("----------------|----------------------------------------");
+    for &depth in &[1usize, 4, 16] {
+        let mut nested_ty = ty.clone();
+        let mut t = bench::int_list(&w.module, 2);
+        for _ in 0..depth {
+            nested_ty = Term::app(list, vec![nested_ty]);
+            t = Term::app(cons, vec![t, Term::constant(nil)]);
+        }
+        let d = time_n(200, || {
+            assert!(
+                subtype_core::match_type(&w.module.sig, &w.checked, &nested_ty, &t)
+                    .typing()
+                    .is_some()
+            );
+        });
+        println!("{depth:15} | {d:?}");
+    }
     println!();
 }
 
@@ -283,6 +357,21 @@ fn f3() {
         };
         println!("{n:5} | {jac:>12.2?} | {mo84}");
     }
+    println!("\nrejection latency (pipeline with 2 injected errors):\n");
+    println!("preds n | clauses | Jacobs reject");
+    println!("--------|---------|--------------");
+    for &n in &[4usize, 16] {
+        let w = bench::workload(&programs::pipeline_with_errors(n, 2, 2));
+        let clauses: Vec<_> = w.module.clauses.iter().map(|c| c.clause.clone()).collect();
+        let checker = Checker::new(&w.module.sig, &w.checked, &w.preds);
+        let reject = time_n(20, || {
+            let errors = checker
+                .check_program(clauses.iter())
+                .expect_err("corrupted");
+            assert_eq!(errors.len(), 2);
+        });
+        println!("{n:7} | {:7} | {reject:>13.2?}", clauses.len());
+    }
     println!();
 }
 
@@ -313,6 +402,34 @@ fn f4() {
         });
         let ratio = audited.as_secs_f64() / plain.as_secs_f64().max(1e-12);
         println!("{n:2} | {plain:>9.2?} | {audited:>11.2?} | {resolvents:10} | {ratio:.1}x");
+    }
+
+    // Wide, shallow derivations: the per-resolvent audit cost dominates.
+    println!("\nfact scan (all n solutions of the fact-base query):\n");
+    println!("facts n | plain scan | audited scan | ratio");
+    println!("--------|------------|--------------|------");
+    for &n in &[16usize, 64] {
+        let w = bench::workload(&programs::fact_base(n));
+        let db = w.module.database();
+        let goals = w.module.queries[0].goals.clone();
+        let plain = time_n(10, || {
+            let mut q = Query::new(&db, goals.clone(), SolveConfig::default());
+            let mut count = 0;
+            while q.next_solution().is_some() {
+                count += 1;
+            }
+            assert_eq!(count, n);
+        });
+        let auditor = Auditor::new(Checker::new(&w.module.sig, &w.checked, &w.preds));
+        let config = AuditConfig {
+            max_solutions: n,
+            ..AuditConfig::default()
+        };
+        let audited = time_n(10, || {
+            assert_eq!(auditor.run(&db, &goals, config).solutions.len(), n);
+        });
+        let ratio = audited.as_secs_f64() / plain.as_secs_f64().max(1e-12);
+        println!("{n:7} | {plain:>10.2?} | {audited:>12.2?} | {ratio:.1}x");
     }
     println!();
 }
@@ -345,6 +462,20 @@ fn f5() {
             assert!(HornTheory::build(&world.sig, &world.cs).database().len() > n);
         });
         println!("{n:5} | {m:11} | {uni:>10.2?} | {grd:>11.2?} | {horn:>9.2?}");
+    }
+
+    // Long dependence chains: the worst case for the guardedness check.
+    println!("\nguardedness worst case (subtype chain of depth d):\n");
+    println!("chain d | guardedness");
+    println!("--------|------------");
+    for &d in &[16usize, 64, 256] {
+        let world = worlds::chain(d);
+        let grd = time_n(20, || {
+            DependenceGraph::build(&world.sig, &world.cs)
+                .check_guarded(&world.sig)
+                .unwrap()
+        });
+        println!("{d:7} | {grd:>11.2?}");
     }
     println!();
 }
@@ -439,10 +570,7 @@ fn f7() {
         .iter()
         .map(|s| bench::workload(s))
         .collect();
-    println!(
-        "file batch ({} pipeline programs): jobs | wall | speedup",
-        workloads.len()
-    );
+    println!("file batch ({} pipeline programs):\n", workloads.len());
     println!("jobs | wall     | speedup");
     println!("-----|----------|--------");
     let mut base = Duration::ZERO;
@@ -524,6 +652,84 @@ fn f7() {
             "{jobs:4} | {wall:>8.2?} | {speedup:6.2}x | {:7.1}%",
             100.0 * hit_rate
         );
+    }
+    println!();
+}
+
+/// Ablations of two design choices in DESIGN.md: the prover's
+/// variable-enumeration budget and the checker's deferred lower bounds.
+fn ablation() {
+    println!("## Ablations — prover enumeration budget, deferred bounds\n");
+    let w = bench::workload(programs::LIST_DECLS);
+    let sig = &w.module.sig;
+    let list = sig.lookup("list").unwrap();
+    let budgeted = |budget| {
+        Prover::with_config(
+            sig,
+            &w.checked,
+            ProverConfig {
+                var_expansion_budget: budget,
+                ..ProverConfig::default()
+            },
+        )
+    };
+
+    // cons(0, cons(pred(0), nil)) ∈ list(A) needs A = unnat/int, which
+    // only enumeration finds: budget 0 is fast but inconclusive.
+    let cons = sig.lookup("cons").unwrap();
+    let zero = Term::constant(sig.lookup("0").unwrap());
+    let pred_zero = Term::app(sig.lookup("pred").unwrap(), vec![zero.clone()]);
+    let tail = Term::app(
+        cons,
+        vec![pred_zero, Term::constant(sig.lookup("nil").unwrap())],
+    );
+    let mixed = Term::app(cons, vec![zero, tail]);
+    let list_a = Term::app(list, vec![Term::Var(Var(900_000))]);
+    println!("variable-enumeration budget, heterogeneous membership [0, pred(0)] in list(A):\n");
+    println!("budget | time     | verdict");
+    println!("-------|----------|--------");
+    for &budget in &[0u32, 2, 4, 16] {
+        let prover = budgeted(budget);
+        let d = time_n(200, || {
+            let proof = prover.subtype(&list_a, &mixed);
+            if budget == 0 {
+                assert!(proof.is_unknown());
+            } else {
+                assert!(proof.is_proved());
+            }
+        });
+        let verdict = if budget == 0 { "Unknown" } else { "Proved" };
+        println!("{budget:6} | {d:>8.2?} | {verdict}");
+    }
+
+    // Ground queries never enumerate: the budget must be free here.
+    let list_int = Term::app(list, vec![Term::constant(sig.lookup("int").unwrap())]);
+    let ints = bench::int_list(&w.module, 32);
+    println!("\nbudgets 0 and 16, ground membership of a 32-element int list in list(int):\n");
+    println!("budget | time");
+    println!("-------|---------");
+    for &budget in &[0u32, 16] {
+        let prover = budgeted(budget);
+        let d = time_n(50, || assert!(prover.member(&list_int, &ints).is_proved()));
+        println!("{budget:6} | {d:>8.2?}");
+    }
+
+    // Pipelines agree by unification alone and never defer a bound; every
+    // query atom of a fact base defers one bound per fact.
+    println!("\ndeferred lower bounds (pipelines defer none, fact bases one per fact):\n");
+    println!("program         | clauses | check");
+    println!("----------------|---------|---------");
+    for (name, src) in [
+        ("pipeline(16, 2)", programs::pipeline(16, 2)),
+        ("fact_base(48)", programs::fact_base(48)),
+    ] {
+        let w = bench::workload(&src);
+        let clauses: Vec<_> = w.module.clauses.iter().map(|c| c.clause.clone()).collect();
+        let checker = Checker::new(&w.module.sig, &w.checked, &w.preds);
+        let d = time_n(20, || {
+            checker.check_program(clauses.iter()).expect("well-typed")
+        });
+        println!("{name:15} | {:7} | {d:>8.2?}", clauses.len());
     }
     println!();
 }

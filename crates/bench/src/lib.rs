@@ -1,8 +1,9 @@
 //! Shared workload setup for the benchmark harness (experiments F1–F7).
 //!
-//! Each `benches/*.rs` target regenerates one experiment from
-//! `EXPERIMENTS.md`; the `report` binary prints all series in one pass with
-//! wall-clock timings and search-effort counters.
+//! The `report` binary is the one wall-time harness: it prints every
+//! `EXPERIMENTS.md` series (F1–F7 and the ablations) in one pass with
+//! wall-clock timings and search-effort counters. [`bench5`] builds the
+//! deterministic BENCH_5 counter baseline that `report --smoke` gates on.
 
 use lp_parser::Module;
 use lp_term::Term;
