@@ -240,13 +240,15 @@ step serve-replay serve_replay
 # changes with scripts/bless.sh.
 step perf-smoke target/release/report --smoke --baseline BENCH_5.json
 
-# The experiment report (F1–F7 and the ablations) runs end to end: every
-# series asserts its verdicts while it measures, so a wrong verdict fails
-# here. Its wall times are printed, never compared.
+# The experiment report (F1–F7, F12 and the ablations) runs end to end:
+# every series asserts its verdicts while it measures, so a wrong verdict
+# fails here. Wall times are printed, never compared, with one exception:
+# F12 asserts that check and lint grow at most 5x from 1024 to 4096
+# pipeline predicates (4x the clauses; best of 3), so a quadratic fails.
 report_run() {
   local section
   target/release/report > "$tmp/report.txt"
-  for section in F1 F2 F3 F4 F5 F6 F7 Ablations; do
+  for section in F1 F2 F3 F4 F5 F6 F7 F12 Ablations; do
     if ! grep -q "^## $section " "$tmp/report.txt"; then
       echo "ci: report has no \`## $section\` section" >&2
       return 1

@@ -1,5 +1,5 @@
 //! Prints the full experiment report (the series recorded in
-//! EXPERIMENTS.md: F1–F7 and the ablations) in one pass: wall-clock
+//! EXPERIMENTS.md: F1–F7, F12 and the ablations) in one pass: wall-clock
 //! timings plus search-effort counters. This is the repository's only
 //! wall-time harness; every series asserts its expected verdicts as it runs.
 //!
@@ -67,6 +67,7 @@ fn main() {
             f5();
             f6();
             f7();
+            f12();
             ablation();
         }
     }
@@ -654,6 +655,152 @@ fn f7() {
         );
     }
     println!();
+}
+
+/// F12: check and lint of `pipeline(n, 3)`, phase by phase, must grow
+/// linearly in clause count (Definition 16 checks each clause on its own).
+fn f12() {
+    use lp_engine::Clause;
+    use subtype_core::{
+        diag, lint_module, ConstraintSet, LintOptions, ParallelChecker, PredTypeTable,
+    };
+
+    /// The phase times of one run, or the per-phase best of several.
+    #[derive(Clone, Copy)]
+    struct Phases {
+        parse: Duration,
+        validate: Duration,
+        check: Duration,
+        lint: Duration,
+        render: Duration,
+    }
+    impl Phases {
+        /// What `slp check` does in process.
+        fn check_total(&self) -> Duration {
+            self.parse + self.validate + self.check
+        }
+        /// What `slp lint` does in process (the lint validates by itself).
+        fn lint_total(&self) -> Duration {
+            self.parse + self.lint + self.render
+        }
+        fn min(self, other: Phases) -> Phases {
+            Phases {
+                parse: self.parse.min(other.parse),
+                validate: self.validate.min(other.validate),
+                check: self.check.min(other.check),
+                lint: self.lint.min(other.lint),
+                render: self.render.min(other.render),
+            }
+        }
+    }
+    /// Checks, lints and renders `src` once; returns its clause count too.
+    fn run(src: &str) -> (usize, Phases) {
+        let (module, parse) = time(|| lp_parser::parse_module(src).expect("pipeline parses"));
+        let ((checked, preds), validate) = time(|| {
+            let checked = ConstraintSet::from_module(&module)
+                .and_then(|s| s.checked(&module.sig))
+                .expect("uniform and guarded");
+            let preds = PredTypeTable::from_module(&module).expect("pred types valid");
+            (checked, preds)
+        });
+        let clauses: Vec<&Clause> = module.clauses.iter().map(|c| &c.clause).collect();
+        let ((), check) = time(|| {
+            let table = ProofTable::new();
+            let checker = ParallelChecker::with_table(&module.sig, &checked, &preds, &table, 1);
+            assert!(checker.check_program(&clauses).is_ok());
+        });
+        let (diags, lint) = time(|| lint_module(&module, &LintOptions::default()));
+        assert_eq!(diag::counts(&diags).0, 0, "pipelines lint without errors");
+        let (text, render) = time(|| diag::render_human_all(&diags, src, "pipeline.slp"));
+        std::hint::black_box(text);
+        let phases = Phases {
+            parse,
+            validate,
+            check,
+            lint,
+            render,
+        };
+        (clauses.len(), phases)
+    }
+    const REPS: usize = 3;
+    const BOUND: f64 = 5.0;
+
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    println!("## F12 — scale: check and lint of pipeline(n, 3), phase by phase\n");
+    println!(
+        "host: {cores} core(s) available; serial (jobs 1); each phase best of {REPS} rounds; \
+         check = parse + validate + check, lint = parse + lint + render\n"
+    );
+    println!(
+        "   n | clauses | parse    | validate | check    | lint     | render   | \
+         check µs/clause | lint µs/clause"
+    );
+    println!(
+        "-----|---------|----------|----------|----------|----------|----------|\
+         -----------------|---------------"
+    );
+    // Each round runs every size in turn, and the growth bound compares
+    // the 4096 and 1024 runs of one round: a slow spell of a shared host
+    // then slows both sides of a ratio instead of one. The best of the
+    // rounds' ratios is asserted.
+    let sources: Vec<String> = bench::F12_SIZES
+        .iter()
+        .map(|&n| programs::pipeline(n, 3))
+        .collect();
+    let rounds: Vec<Vec<(usize, Phases)>> = (0..REPS)
+        .map(|_| sources.iter().map(|src| run(src)).collect())
+        .collect();
+    for (i, &n) in bench::F12_SIZES.iter().enumerate() {
+        let clauses = rounds[0][i].0;
+        let p = rounds
+            .iter()
+            .map(|round| round[i].1)
+            .reduce(Phases::min)
+            .expect("REPS > 0");
+        let per_clause = |d: Duration| d.as_secs_f64() * 1e6 / clauses as f64;
+        println!(
+            "{n:4} | {clauses:7} | {:>8.2?} | {:>8.2?} | {:>8.2?} | {:>8.2?} | {:>8.2?} | \
+             {:15.1} | {:14.1}",
+            p.parse,
+            p.validate,
+            p.check,
+            p.lint,
+            p.render,
+            per_clause(p.check_total()),
+            per_clause(p.lint_total()),
+        );
+    }
+    let size = |n: usize| {
+        bench::F12_SIZES
+            .iter()
+            .position(|&m| m == n)
+            .expect("size measured")
+    };
+    let (large, small) = (size(4096), size(1024));
+    let growth = |total: fn(&Phases) -> Duration| {
+        rounds
+            .iter()
+            .map(|round| {
+                total(&round[large].1).as_secs_f64() / total(&round[small].1).as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let check_growth = growth(Phases::check_total);
+    let lint_growth = growth(Phases::lint_total);
+    println!(
+        "\ngrowth time(4096)/time(1024), 4× the clauses, best of {REPS} rounds: \
+         check {check_growth:.2}, lint {lint_growth:.2} (bound {BOUND})\n"
+    );
+    assert!(
+        check_growth <= BOUND,
+        "check grows superlinearly: time(4096)/time(1024) = {check_growth:.2} > {BOUND}"
+    );
+    assert!(
+        lint_growth <= BOUND,
+        "lint grows superlinearly: time(4096)/time(1024) = {lint_growth:.2} > {BOUND}"
+    );
 }
 
 /// Ablations of two design choices in DESIGN.md: the prover's

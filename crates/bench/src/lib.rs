@@ -1,7 +1,7 @@
-//! Shared workload setup for the benchmark harness (experiments F1–F7).
+//! Shared workload setup for the benchmark harness (experiments F1–F7, F12).
 //!
 //! The `report` binary is the one wall-time harness: it prints every
-//! `EXPERIMENTS.md` series (F1–F7 and the ablations) in one pass with
+//! `EXPERIMENTS.md` series (F1–F7, F12 and the ablations) in one pass with
 //! wall-clock timings and search-effort counters. [`bench5`] builds the
 //! deterministic BENCH_5 counter baseline that `report --smoke` gates on.
 
@@ -110,6 +110,10 @@ pub fn f7_corpus() -> Vec<String> {
         .map(|i| lp_gen::programs::pipeline(12 + 6 * (i % 4), 2 + i % 3))
         .collect()
 }
+
+/// The pipeline sizes (predicates) of the F12 scale series; its growth
+/// assert compares 4096 with 1024.
+pub const F12_SIZES: &[usize] = &[256, 1024, 2048, 4096];
 
 /// Builds `n` independent subtype goals over the paper world cycling `k`
 /// distinct judgements: goal `i` is

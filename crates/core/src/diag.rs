@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use lp_parser::{ParseError, Span};
+use lp_parser::{LineIndex, ParseError, Span};
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -132,16 +132,17 @@ pub fn counts(diags: &[Diagnostic]) -> (usize, usize) {
     (errors, diags.len() - errors)
 }
 
-/// Renders one diagnostic in the terminal (rustc-like) format.
-pub fn render_human(d: &Diagnostic, source: &str, filename: &str) -> String {
+/// Renders one diagnostic in the terminal (rustc-like) format; `lines`
+/// indexes `source`.
+pub fn render_human(d: &Diagnostic, source: &str, lines: &LineIndex, filename: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!("{}[{}]: {}\n", d.severity, d.code, d.message));
     if let Some(span) = d.span {
-        out.push_str(&excerpt(source, filename, span, '^'));
+        out.push_str(&excerpt(source, lines, filename, span, '^'));
     }
     for (span, caption) in &d.related {
         out.push_str(&format!("note: {caption}\n"));
-        out.push_str(&excerpt(source, filename, *span, '-'));
+        out.push_str(&excerpt(source, lines, filename, *span, '-'));
     }
     for note in &d.notes {
         out.push_str(&format!("  = note: {note}\n"));
@@ -150,11 +151,13 @@ pub fn render_human(d: &Diagnostic, source: &str, filename: &str) -> String {
 }
 
 /// Renders a whole report in the terminal format, one blank line between
-/// findings, with a final summary line.
+/// findings, with a final summary line. Indexes the lines of `source`
+/// once, so the cost grows with findings plus file size, not their product.
 pub fn render_human_all(diags: &[Diagnostic], source: &str, filename: &str) -> String {
+    let lines = LineIndex::new(source);
     let mut out = String::new();
     for d in diags {
-        out.push_str(&render_human(d, source, filename));
+        out.push_str(&render_human(d, source, &lines, filename));
         out.push('\n');
     }
     let (errors, warnings) = counts(diags);
@@ -168,13 +171,15 @@ pub fn render_human_all(diags: &[Diagnostic], source: &str, filename: &str) -> S
 ///
 /// Each element carries the code, severity, message, resolved
 /// line/column positions for the primary and related spans, and notes.
+/// Like [`render_human_all`], it indexes the lines of `source` once.
 pub fn render_json_all(diags: &[Diagnostic], source: &str, filename: &str) -> String {
     if diags.is_empty() {
         return "[]\n".to_string();
     }
+    let lines = LineIndex::new(source);
     let body: Vec<String> = diags
         .iter()
-        .map(|d| render_json_one(d, source, filename))
+        .map(|d| render_json_one(d, &lines, filename))
         .collect();
     format!("[\n  {}\n]\n", body.join(",\n  "))
 }
@@ -182,8 +187,8 @@ pub fn render_json_all(diags: &[Diagnostic], source: &str, filename: &str) -> St
 /// Renders one diagnostic as a JSON object (one element of
 /// [`render_json_all`]'s array) — exposed so callers embedding diagnostics
 /// in larger documents (`slp explain --format json`) reuse the exact same
-/// encoding.
-pub fn render_json_one(d: &Diagnostic, source: &str, filename: &str) -> String {
+/// encoding. `lines` indexes the diagnostic's source file.
+pub fn render_json_one(d: &Diagnostic, lines: &LineIndex, filename: &str) -> String {
     let mut fields = vec![
         format!("\"code\":{}", json_str(d.code)),
         format!("\"severity\":{}", json_str(&d.severity.to_string())),
@@ -191,7 +196,7 @@ pub fn render_json_one(d: &Diagnostic, source: &str, filename: &str) -> String {
         format!("\"file\":{}", json_str(filename)),
     ];
     match d.span {
-        Some(span) => fields.push(format!("\"span\":{}", json_span(source, span))),
+        Some(span) => fields.push(format!("\"span\":{}", json_span(lines, span))),
         None => fields.push("\"span\":null".to_string()),
     }
     let notes: Vec<String> = d.notes.iter().map(|n| json_str(n)).collect();
@@ -202,7 +207,7 @@ pub fn render_json_one(d: &Diagnostic, source: &str, filename: &str) -> String {
         .map(|(span, caption)| {
             format!(
                 "{{\"span\":{},\"message\":{}}}",
-                json_span(source, *span),
+                json_span(lines, *span),
                 json_str(caption)
             )
         })
@@ -211,8 +216,8 @@ pub fn render_json_one(d: &Diagnostic, source: &str, filename: &str) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-fn json_span(source: &str, span: Span) -> String {
-    let (line, column) = span.line_col(source);
+fn json_span(lines: &LineIndex, span: Span) -> String {
+    let (line, column) = lines.line_col(span.start);
     format!(
         "{{\"start\":{},\"end\":{},\"line\":{line},\"column\":{column}}}",
         span.start, span.end
@@ -245,13 +250,10 @@ fn json_str(s: &str) -> String {
 /// 12 | q(pred(0)).
 ///    | ^^^^^^^^^^
 /// ```
-fn excerpt(source: &str, filename: &str, span: Span, marker: char) -> String {
+fn excerpt(source: &str, lines: &LineIndex, filename: &str, span: Span, marker: char) -> String {
     let start = span.start.min(source.len());
-    let (line, col) = Span::new(start, start).line_col(source);
-    let line_start = source[..start].rfind('\n').map_or(0, |i| i + 1);
-    let line_end = source[line_start..]
-        .find('\n')
-        .map_or(source.len(), |i| line_start + i);
+    let (line, col) = lines.line_col(start);
+    let (line_start, line_end) = lines.line_bounds(start);
     let text = &source[line_start..line_end];
     let gutter = " ".repeat(line.to_string().len());
     let pad: String = source[line_start..start]
@@ -281,7 +283,7 @@ mod tests {
         let src = "TYPE t.\nt >= t.\n";
         // Span of the second `t` on line 2 (offset 13..14).
         let d = Diagnostic::error("E0103", "not guarded").with_span(Span::new(13, 14));
-        let text = render_human(&d, src, "x.slp");
+        let text = render_human(&d, src, &LineIndex::new(src), "x.slp");
         assert!(text.contains("error[E0103]: not guarded"), "{text}");
         assert!(text.contains("--> x.slp:2:6"), "{text}");
         assert!(text.contains("2 | t >= t."), "{text}");
@@ -300,7 +302,7 @@ mod tests {
         let d = Diagnostic::warning("W0501", "overlap")
             .with_span(Span::new(11, 15))
             .related(Span::new(0, 10), "declared here");
-        let text = render_human(&d, src, "x.slp");
+        let text = render_human(&d, src, &LineIndex::new(src), "x.slp");
         assert!(text.contains("note: declared here"), "{text}");
         assert!(text.contains("----"), "{text}");
     }

@@ -561,8 +561,15 @@ pub struct MetricsRegistry {
     timer_calls: [AtomicU64; Timer::COUNT],
     epoch: Instant,
     trace_on: AtomicBool,
-    trace_seq: AtomicU64,
-    trace: Mutex<Option<Box<dyn Write + Send>>>,
+    trace: Mutex<TraceSink>,
+}
+
+/// The installed trace writer and the `seq` of its next record. One lock
+/// covers both, so records reach the writer in `seq` order.
+#[derive(Default)]
+struct TraceSink {
+    writer: Option<Box<dyn Write + Send>>,
+    next_seq: u64,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -589,8 +596,7 @@ impl MetricsRegistry {
             timer_calls: std::array::from_fn(|_| AtomicU64::new(0)),
             epoch: Instant::now(),
             trace_on: AtomicBool::new(false),
-            trace_seq: AtomicU64::new(0),
-            trace: Mutex::new(None),
+            trace: Mutex::new(TraceSink::default()),
         }
     }
 
@@ -640,14 +646,14 @@ impl MetricsRegistry {
     /// Installs a JSONL trace sink; subsequent instrumented events are
     /// written one per line.
     pub fn set_trace(&self, sink: Box<dyn Write + Send>) {
-        *self.trace.lock().expect("trace sink lock") = Some(sink);
+        self.trace.lock().expect("trace sink lock").writer = Some(sink);
         self.trace_on.store(true, Ordering::Release);
     }
 
     /// Removes and returns the trace sink (callers should flush/close it).
     pub fn take_trace(&self) -> Option<Box<dyn Write + Send>> {
         self.trace_on.store(false, Ordering::Release);
-        self.trace.lock().expect("trace sink lock").take()
+        self.trace.lock().expect("trace sink lock").writer.take()
     }
 
     /// Whether a trace sink is installed. Instrumented sites use this to
@@ -662,24 +668,31 @@ impl MetricsRegistry {
     ///
     /// A no-op when no sink is installed. Write errors disable the sink
     /// rather than panicking mid-proof.
+    ///
+    /// `seq` and `t_ns` are taken under the sink lock, so in the written
+    /// file `seq` counts 0, 1, 2, … and `t_ns` never decreases, however
+    /// many threads trace at once.
     pub fn trace(&self, event: &TraceEvent<'_>) {
         if !self.tracing() {
             return;
         }
-        let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
+        let mut payload = String::new();
+        event.payload(&mut payload);
+        let mut sink = self.trace.lock().expect("trace sink lock");
+        let TraceSink { writer, next_seq } = &mut *sink;
+        let Some(w) = writer.as_mut() else {
+            return;
+        };
+        let seq = *next_seq;
+        *next_seq += 1;
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
-        let mut line = format!(
-            "{{\"seq\":{seq},\"t_ns\":{t_ns},\"ev\":\"{}\"",
+        let line = format!(
+            "{{\"seq\":{seq},\"t_ns\":{t_ns},\"ev\":\"{}\"{payload}}}\n",
             event.name()
         );
-        event.payload(&mut line);
-        line.push_str("}\n");
-        let mut sink = self.trace.lock().expect("trace sink lock");
-        if let Some(w) = sink.as_mut() {
-            if w.write_all(line.as_bytes()).is_err() {
-                *sink = None;
-                self.trace_on.store(false, Ordering::Release);
-            }
+        if w.write_all(line.as_bytes()).is_err() {
+            *writer = None;
+            self.trace_on.store(false, Ordering::Release);
         }
     }
 
@@ -1336,22 +1349,59 @@ mod tests {
         );
     }
 
+    /// An in-memory trace sink whose bytes the test can read back.
+    #[derive(Clone)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+    impl Write for Buf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn concurrent_trace_records_are_written_in_seq_order() {
+        const THREADS: usize = 4;
+        const EVENTS: usize = 500;
+        let obs = MetricsRegistry::new();
+        let buf = Buf(Arc::new(Mutex::new(Vec::new())));
+        obs.set_trace(Box::new(buf.clone()));
+        // All threads start tracing together, so their records contend.
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..EVENTS {
+                        obs.trace(&TraceEvent::TableHit { key: "k" });
+                    }
+                });
+            }
+        });
+        obs.take_trace();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let records: Vec<(u64, u64)> = text
+            .lines()
+            .map(|l| {
+                let v = JsonValue::parse(l).expect("jsonl line parses");
+                let field = |k| v.get(k).and_then(|x| x.as_u64()).expect("numeric field");
+                (field("seq"), field("t_ns"))
+            })
+            .collect();
+        let seqs: Vec<u64> = records.iter().map(|r| r.0).collect();
+        let expected: Vec<u64> = (0..(THREADS * EVENTS) as u64).collect();
+        assert_eq!(seqs, expected, "seq in file order is exactly 0..N");
+        assert!(
+            records.windows(2).all(|w| w[0].1 <= w[1].1),
+            "t_ns never decreases in file order"
+        );
+    }
+
     #[test]
     fn trace_sink_receives_jsonl_events() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let obs = MetricsRegistry::new();
         assert!(!obs.tracing());
         obs.trace(&TraceEvent::TableHit { key: "noop" });

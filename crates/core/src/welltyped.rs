@@ -35,6 +35,12 @@ use crate::table::ProofTable;
 #[derive(Debug, Clone, Default)]
 pub struct PredTypeTable {
     types: HashMap<Sym, Term>,
+    /// One past the largest variable of any declared type: the first
+    /// variable a clause check may allocate fresh without colliding with a
+    /// type it instantiates. Kept module-wide (not per clause) so fresh
+    /// variable names, and with them the rendered typings, do not depend
+    /// on which types a clause happens to use.
+    var_watermark: u32,
 }
 
 impl PredTypeTable {
@@ -75,11 +81,14 @@ impl PredTypeTable {
                 detail: format!("`{}` is not a predicate symbol", sig.name(p)),
             });
         }
-        if self.types.insert(p, pred_type).is_some() {
+        if self.types.contains_key(&p) {
             return Err(TypeCheckError::DuplicatePredType {
                 pred: sig.name(p).to_string(),
             });
         }
+        let watermark = &mut self.var_watermark;
+        crate::arena::visit_vars(&pred_type, &mut |v| *watermark = (*watermark).max(v.0 + 1));
+        self.types.insert(p, pred_type);
         Ok(())
     }
 
@@ -393,18 +402,14 @@ impl<'a> Checker<'a> {
         rigid_head: bool,
         table: Option<&ProofTable>,
     ) -> (Result<ClauseTyping, TypeCheckError>, Option<SolveOutcome>) {
-        // Fresh type variables must not collide with program variables.
-        // Allocation-free walk: `Term::vars` would build a set per atom
-        // just to fold a maximum over it.
-        let mut watermark = 0u32;
-        {
-            let mut raise = |v: Var| watermark = watermark.max(v.0 + 1);
-            for a in atoms {
-                crate::arena::visit_vars(a, &mut raise);
-            }
-            for (_, t) in self.preds.iter() {
-                crate::arena::visit_vars(t, &mut raise);
-            }
+        // Fresh type variables must collide neither with program variables
+        // nor with declared-type variables. The table keeps the latter's
+        // bound, so this walks only the clause's own atoms: O(clause), not
+        // O(module). Allocation-free: `Term::vars` would build a set per
+        // atom just to fold a maximum over it.
+        let mut watermark = self.preds.var_watermark;
+        for a in atoms {
+            crate::arena::visit_vars(a, &mut |v: Var| watermark = watermark.max(v.0 + 1));
         }
         let mut state = CState::new(watermark);
         let cm = CMatcher::new(self.sig, self.cs)
@@ -425,6 +430,10 @@ impl<'a> Checker<'a> {
                     );
                 }
             };
+            debug_assert!(
+                below_watermark(atom, watermark) && below_watermark(declared, watermark),
+                "fresh variables from {watermark} would capture a variable of atom {index}"
+            );
             // Rename the predicate type apart; head variables are rigid,
             // body (and query) variables flexible — they are the ηᵢ.
             let rigid = rigid_head && index == 0;
@@ -628,6 +637,14 @@ fn rename_apart(pred_type: &Term, state: &mut CState, rigid: bool) -> Term {
     })
 }
 
+/// Whether every variable of `t` lies below `watermark` — the invariant
+/// that keeps [`CState`]'s fresh variables from capturing one of them.
+fn below_watermark(t: &Term, watermark: u32) -> bool {
+    let mut ok = true;
+    crate::arena::visit_vars(t, &mut |v| ok &= v.0 < watermark);
+    ok
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -823,6 +840,44 @@ mod tests {
         checker
             .check_query(&m.queries[0].goals)
             .expect("filtered query accepted");
+    }
+
+    #[test]
+    fn watermark_tracks_declared_types_and_survives_rejected_inserts() {
+        let src = format!(
+            "{LIST_DECLS} PRED app(list(A), list(A), list(A)). PRED q(list(B), C). PRED z(nat)."
+        );
+        let (m, _, mut preds) = setup(&src);
+        let max_plus_one = |preds: &PredTypeTable| {
+            let mut w = 0;
+            for (_, t) in preds.iter() {
+                crate::arena::visit_vars(t, &mut |v| w = w.max(v.0 + 1));
+            }
+            w
+        };
+        let snapshot = |preds: &PredTypeTable| {
+            let mut types: Vec<(Sym, Term)> = preds.iter().map(|(p, t)| (p, t.clone())).collect();
+            types.sort_by_key(|(p, _)| *p);
+            (types, preds.var_watermark)
+        };
+        assert!(preds.var_watermark > 0);
+        assert_eq!(preds.var_watermark, max_plus_one(&preds));
+        assert_eq!(PredTypeTable::new().var_watermark, 0);
+
+        // A duplicate whose variables would raise the watermark is rejected
+        // and leaves both the stored type and the watermark as they were.
+        let before = snapshot(&preds);
+        let z = m.sig.lookup("z").unwrap();
+        let dup = Term::app(z, vec![Term::Var(Var(before.1 + 100))]);
+        let err = preds.insert(&m.sig, dup).unwrap_err();
+        assert!(matches!(err, TypeCheckError::DuplicatePredType { .. }));
+        assert_eq!(snapshot(&preds), before);
+
+        // So does a term that is not a predicate application.
+        let nat = m.sig.lookup("nat").unwrap();
+        let not_pred = Term::app(nat, vec![]);
+        assert!(preds.insert(&m.sig, not_pred).is_err());
+        assert_eq!(snapshot(&preds), before);
     }
 
     #[test]

@@ -26,13 +26,67 @@ impl Span {
     }
 
     /// 1-based `(line, column)` of the span start within `source`.
+    ///
+    /// Scans `source` once; a caller resolving many spans against one
+    /// file builds a [`LineIndex`] and asks it instead.
     pub fn line_col(&self, source: &str) -> (usize, usize) {
-        let upto = &source[..self.start.min(source.len())];
-        let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
-        let col = upto
-            .rfind('\n')
-            .map_or(self.start + 1, |nl| self.start - nl);
-        (line, col)
+        LineIndex::new(source).line_col(self.start)
+    }
+}
+
+/// The newline offsets of one source text, built once so that each
+/// position lookup is a binary search rather than a scan of the prefix.
+///
+/// Columns count bytes from the start of the line, 1-based. A newline
+/// belongs to the line it ends. Offsets past the end of the text resolve
+/// on its last line, with the column still counted from the offset.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineIndex {
+    /// Byte offset of every `\n`, ascending.
+    newlines: Vec<usize>,
+    /// Length of the text in bytes.
+    len: usize,
+}
+
+impl LineIndex {
+    /// Indexes the lines of `source`.
+    pub fn new(source: &str) -> Self {
+        LineIndex {
+            newlines: source
+                .bytes()
+                .enumerate()
+                .filter_map(|(i, b)| (b == b'\n').then_some(i))
+                .collect(),
+            len: source.len(),
+        }
+    }
+
+    /// Number of newlines before `offset` (clamped to the text).
+    fn newlines_before(&self, offset: usize) -> usize {
+        let offset = offset.min(self.len);
+        self.newlines.partition_point(|&nl| nl < offset)
+    }
+
+    /// 1-based `(line, column)` of byte `offset`.
+    pub fn line_col(&self, offset: usize) -> (usize, usize) {
+        let before = self.newlines_before(offset);
+        let col = match before {
+            0 => offset + 1,
+            n => offset - self.newlines[n - 1],
+        };
+        (before + 1, col)
+    }
+
+    /// Byte range `(start, end)` of the line holding `offset` (clamped to
+    /// the text), without its terminating newline.
+    pub fn line_bounds(&self, offset: usize) -> (usize, usize) {
+        let before = self.newlines_before(offset);
+        let start = match before {
+            0 => 0,
+            n => self.newlines[n - 1] + 1,
+        };
+        let end = self.newlines.get(before).copied().unwrap_or(self.len);
+        (start, end)
     }
 }
 
@@ -108,6 +162,106 @@ mod tests {
         assert_eq!(Span::new(2, 3).line_col(src), (1, 3));
         assert_eq!(Span::new(4, 5).line_col(src), (2, 1));
         assert_eq!(Span::new(6, 7).line_col(src), (2, 3));
+    }
+
+    /// The prefix-scan lookup `LineIndex` replaces, kept as the oracle.
+    fn prefix_scan_line_col(source: &str, start: usize) -> (usize, usize) {
+        let upto = &source[..start.min(source.len())];
+        let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
+        let col = upto.rfind('\n').map_or(start + 1, |nl| start - nl);
+        (line, col)
+    }
+
+    /// The prefix-scan line bounds `LineIndex` replaces.
+    fn prefix_scan_line_bounds(source: &str, offset: usize) -> (usize, usize) {
+        let offset = offset.min(source.len());
+        let start = source[..offset].rfind('\n').map_or(0, |i| i + 1);
+        let end = source[start..]
+            .find('\n')
+            .map_or(source.len(), |i| start + i);
+        (start, end)
+    }
+
+    /// Compares `LineIndex` with the prefix scans at every char boundary
+    /// of `src` and a few offsets past its end.
+    fn agrees_with_prefix_scan(src: &str) {
+        let index = LineIndex::new(src);
+        let offsets = (0..=src.len())
+            .filter(|&i| src.is_char_boundary(i))
+            .chain([src.len() + 1, src.len() + 7]);
+        for i in offsets {
+            assert_eq!(
+                index.line_col(i),
+                prefix_scan_line_col(src, i),
+                "line_col({i}) of {src:?}"
+            );
+            assert_eq!(Span::new(i, i).line_col(src), prefix_scan_line_col(src, i));
+            assert_eq!(
+                index.line_bounds(i),
+                prefix_scan_line_bounds(src, i),
+                "line_bounds({i}) of {src:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn line_index_at_offset_zero() {
+        let index = LineIndex::new("abc\ndef\n");
+        assert_eq!(index.line_col(0), (1, 1));
+        assert_eq!(index.line_bounds(0), (0, 3));
+        assert_eq!(LineIndex::new("").line_col(0), (1, 1));
+        assert_eq!(LineIndex::new("").line_bounds(0), (0, 0));
+        agrees_with_prefix_scan("");
+    }
+
+    #[test]
+    fn line_index_newline_belongs_to_the_line_it_ends() {
+        let src = "ab\ncd\n\nef\n";
+        let index = LineIndex::new(src);
+        assert_eq!(index.line_col(2), (1, 3));
+        assert_eq!(index.line_bounds(2), (0, 2));
+        assert_eq!(index.line_col(3), (2, 1));
+        // An empty line: its only byte is its own newline.
+        assert_eq!(index.line_col(6), (3, 1));
+        assert_eq!(index.line_bounds(6), (6, 6));
+        agrees_with_prefix_scan(src);
+    }
+
+    #[test]
+    fn line_index_without_trailing_newline() {
+        let src = "p(a).\nq(b)";
+        let index = LineIndex::new(src);
+        assert_eq!(index.line_col(9), (2, 4));
+        assert_eq!(index.line_bounds(9), (6, 10));
+        assert_eq!(index.line_col(src.len()), (2, 5));
+        agrees_with_prefix_scan(src);
+    }
+
+    #[test]
+    fn line_index_clamps_offsets_past_the_end() {
+        let src = "ab\ncd\n";
+        let index = LineIndex::new(src);
+        // The line is clamped to the text; the column still counts from
+        // the offset, exactly as the prefix scan did.
+        assert_eq!(index.line_col(100), (3, 95));
+        assert_eq!(index.line_bounds(100), (6, 6));
+        assert_eq!(LineIndex::new("ab").line_col(9), (1, 10));
+        agrees_with_prefix_scan(src);
+        agrees_with_prefix_scan("ab");
+    }
+
+    #[test]
+    fn line_index_counts_bytes_after_multibyte_text() {
+        let src = "% ⊒ ≥ é\np(x). % ∈\nq(λ).";
+        let index = LineIndex::new(src);
+        let p = src.find("p(").unwrap();
+        assert_eq!(index.line_col(p), (2, 1));
+        let x = src.find('x').unwrap();
+        assert_eq!(index.line_col(x), (2, 3));
+        // Columns are byte columns: `λ` follows two bytes, `)` three more.
+        let close = src.rfind(')').unwrap();
+        assert_eq!(index.line_col(close), (3, 5));
+        agrees_with_prefix_scan(src);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use subtype_lp::core::{
     match_type, mode_string, par, ConstraintSet, Counter, FaultPlan, MatchOutcome, MetricsRegistry,
     ModeAnalysis, NaiveProver, ProofTable, Prover, ServeConfig, ServeSession, TabledProver, Timer,
 };
-use subtype_lp::parser::{parse_module, Module};
+use subtype_lp::parser::{parse_module, LineIndex, Module};
 use subtype_lp::term::TermDisplay;
 use subtype_lp::TypedProgram;
 
@@ -306,19 +306,38 @@ struct FileReport {
 
 /// Runs `worker` over `files` on up to `jobs` threads and emits the reports
 /// in input order. The overall exit code is the worst per-file code.
+///
+/// A reader that stops early (`slp lint big.slp | head`) ends the output
+/// quietly; any other write failure is reported and exits 2.
 fn run_batch(
     files: &[String],
     jobs: usize,
     worker: impl Fn(&str) -> FileReport + Sync,
 ) -> ExitCode {
     let reports = par::run_indexed(jobs, files, |_, f| worker(f));
-    let mut worst = 0u8;
-    for r in &reports {
-        print!("{}", r.stdout);
-        eprint!("{}", r.stderr);
-        worst = worst.max(r.code);
+    let worst = reports.iter().map(|r| r.code).max().unwrap_or(0);
+    match emit_reports(&reports) {
+        Ok(()) => ExitCode::from(worst),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::from(worst),
+        Err(e) => {
+            let _ = writeln!(std::io::stderr(), "slp: cannot write output: {e}");
+            ExitCode::from(2)
+        }
     }
-    ExitCode::from(worst)
+}
+
+/// Writes each report's stdout, then its stderr, in input order.
+fn emit_reports(reports: &[FileReport]) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    let mut err = std::io::stderr().lock();
+    for r in reports {
+        out.write_all(r.stdout.as_bytes())?;
+        if !r.stderr.is_empty() {
+            out.flush()?;
+            err.write_all(r.stderr.as_bytes())?;
+        }
+    }
+    out.flush()
 }
 
 /// `--format json|human` (shared by lint findings and `--stats` output).
@@ -889,9 +908,10 @@ fn audit_modes(
                 )
             })
             .collect();
+        let lines = LineIndex::new(src);
         let diags_json: Vec<String> = diags
             .iter()
-            .map(|d| diag::render_json_one(d, src, file))
+            .map(|d| diag::render_json_one(d, &lines, file))
             .collect();
         let solutions_json: Vec<String> = audit
             .solutions
@@ -1216,11 +1236,12 @@ fn explain_cmd(
         ));
     }
 
+    let lines = LineIndex::new(src);
     let mut human = String::new();
     let mut items = Vec::new();
     let mut well_typed = 0usize;
     for t in &targets {
-        let (verdict, section, item) = explain_target(program, src, file, t);
+        let (verdict, section, item) = explain_target(program, src, &lines, file, t);
         if verdict == "well-typed" {
             well_typed += 1;
         }
@@ -1247,10 +1268,12 @@ fn explain_cmd(
     Ok(ExitCode::SUCCESS)
 }
 
-/// Renders one explanation target as `(verdict, human section, JSON item)`.
+/// Renders one explanation target as `(verdict, human section, JSON item)`;
+/// `lines` indexes `src`.
 fn explain_target(
     program: &TypedProgram,
     src: &str,
+    lines: &LineIndex,
     file: &str,
     t: &ExplainTarget,
 ) -> (&'static str, String, String) {
@@ -1263,7 +1286,7 @@ fn explain_target(
     let constraints = program.constraints().as_set().constraints();
     let obs = program.metrics();
 
-    let (line, _) = t.span.line_col(src);
+    let (line, _) = lines.line_col(t.span.start);
     let quoted: String = src[t.span.start.min(src.len())..t.span.end.min(src.len())]
         .split_whitespace()
         .collect::<Vec<_>>()
@@ -1413,8 +1436,8 @@ fn explain_target(
                      remainder becomes derivable",
                 );
             }
-            section.push_str(&diag::render_human(&d, src, file));
-            diag_json = diag::render_json_one(&d, src, file);
+            section.push_str(&diag::render_human(&d, src, lines, file));
+            diag_json = diag::render_json_one(&d, lines, file);
         }
     }
 

@@ -642,3 +642,44 @@ fn counter_metrics_agree_across_job_counts() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Scale: pipes and job counts on a large generated program
+// ---------------------------------------------------------------------------
+
+#[test]
+fn lint_into_a_closed_pipe_ends_without_a_panic() {
+    use std::process::Stdio;
+
+    // `slp lint big.slp | head`: the reader is gone before the findings
+    // (about 400 KB here) are written.
+    let f = write_fixture("pipe256.slp", &lp_gen::programs::pipeline(256, 3));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_slp"))
+        .args(["lint", f.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("slp runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("slp exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "a closed pipe ends quietly: {stderr}");
+    assert_ne!(out.status.code(), Some(101));
+}
+
+#[test]
+fn check_and_lint_are_byte_identical_across_job_counts_at_scale() {
+    let f = write_fixture("pipeline4096.slp", &lp_gen::programs::pipeline(4096, 3));
+    let file = f.to_str().unwrap();
+    for cmd in ["check", "lint"] {
+        let serial = slp_code(&[cmd, file, "--jobs", "1"]);
+        for jobs in ["2", "8"] {
+            assert_eq!(
+                serial,
+                slp_code(&[cmd, file, "--jobs", jobs]),
+                "`slp {cmd} --jobs {jobs}` differs from --jobs 1 on pipeline(4096, 3)"
+            );
+        }
+    }
+}
